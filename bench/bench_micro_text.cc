@@ -1,10 +1,9 @@
-// Text hot-path microbenchmarks: bytes/sec of the four scan-heavy kernels
-// (record line splitting, separator detection, tokenizer attribute
-// extraction, JSON escaping) at every byte-scan tier the machine supports
-// (scalar / SWAR / SIMD, pinned with util::scan::ForceMode). The per-tier
-// rows show what the dispatch actually buys; the scalar row is the
-// portable floor a -DWHOISCRF_DISABLE_SIMD build would see everywhere.
-// Writes BENCH_micro_text.json (override the path with WHOISCRF_BENCH_OUT).
+// Text hot-path microbenchmarks: bytes/sec of the scan-heavy kernels the
+// parser runs as-is (record line splitting, separator detection, JSON
+// escaping), one row per kernel. Tokenization is not timed here: the parser
+// reaches it only through its word cache, so a bare tokenizer loop would
+// time a path production does not take. Writes BENCH_micro_text.json
+// (override the path with WHOISCRF_BENCH_OUT).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,8 +15,6 @@
 #include "bench_common.h"
 #include "text/line_splitter.h"
 #include "text/separator.h"
-#include "text/tokenizer.h"
-#include "util/byte_scan.h"
 #include "util/env.h"
 #include "util/json.h"
 
@@ -39,22 +36,10 @@ int BenchPasses() {
   return passes;
 }
 
-// Sink that folds every attribute into a checksum so the optimizer cannot
-// discard the tokenizer's work.
-class ChecksumSink final : public text::AttrSink {
- public:
-  void OnAttr(std::string_view attr, bool transition) override {
-    for (const char c : attr) sum += static_cast<unsigned char>(c);
-    sum += transition ? 1 : 0;
-  }
-  size_t sum = 0;
-};
-
 struct KernelResult {
   std::string kernel;
-  std::string mode;
   double bytes_per_sec = 0.0;
-  size_t checksum = 0;  // must agree across tiers for the same kernel
+  size_t checksum = 0;  // keeps the kernel's work observable
 };
 
 // Runs `fn` (which scans `bytes` bytes of input and returns a checksum)
@@ -62,11 +47,9 @@ struct KernelResult {
 // the workload is deterministic, so the minimum is the pass least disturbed
 // by other tenants of the machine.
 template <typename Fn>
-KernelResult MeasureKernel(const char* kernel, util::scan::Mode mode,
-                           size_t bytes, Fn&& fn) {
+KernelResult MeasureKernel(const char* kernel, size_t bytes, Fn&& fn) {
   KernelResult r;
   r.kernel = kernel;
-  r.mode = std::string(util::scan::ModeName(mode));
   double best = 0.0;
   for (int p = 0; p < BenchPasses(); ++p) {
     const auto start = Clock::now();
@@ -81,7 +64,7 @@ KernelResult MeasureKernel(const char* kernel, util::scan::Mode mode,
 int Main() {
   const size_t record_count = util::Scaled(2000, 400);
 
-  PrintHeader("micro_text", "bytes/sec per scan kernel, by byte-scan tier");
+  PrintHeader("micro_text", "bytes/sec per scan kernel");
 
   const auto generator = MakeEvalGenerator(record_count);
   std::vector<std::string> records;
@@ -92,8 +75,8 @@ int Main() {
     record_bytes += records.back().size();
   }
 
-  // The per-line kernels run over the labeled lines of the same records so
-  // every tier sees identical, realistic input (titles, values, %% frames).
+  // The per-line kernels run over the labeled lines of the same records:
+  // realistic input (titles, values, %% frames).
   std::vector<std::string> lines;
   size_t line_bytes = 0;
   for (const std::string& r : records) {
@@ -103,87 +86,42 @@ int Main() {
     }
   }
 
-  std::vector<util::scan::Mode> modes = {util::scan::Mode::kScalar};
-  if (util::scan::BestSupportedMode() >= util::scan::Mode::kSwar) {
-    modes.push_back(util::scan::Mode::kSwar);
-  }
-  if (util::scan::BestSupportedMode() >= util::scan::Mode::kSimd) {
-    modes.push_back(util::scan::Mode::kSimd);
-  }
-
-  const text::Tokenizer tokenizer;
   std::vector<KernelResult> results;
-  for (const util::scan::Mode mode : modes) {
-    util::scan::ForceMode(mode);
+  std::vector<text::Line> split_out;
+  results.push_back(MeasureKernel("split_record", record_bytes, [&] {
+    size_t n = 0;
+    for (const std::string& r : records) {
+      text::SplitRecordInto(r, split_out);
+      n += split_out.size();
+    }
+    return n;
+  }));
 
-    std::vector<text::Line> split_out;
-    results.push_back(MeasureKernel("split_record", mode, record_bytes, [&] {
-      size_t n = 0;
-      for (const std::string& r : records) {
-        text::SplitRecordInto(r, split_out);
-        n += split_out.size();
-      }
-      return n;
-    }));
-
-    results.push_back(MeasureKernel("find_separator", mode, line_bytes, [&] {
-      size_t n = 0;
-      for (const std::string& line : lines) {
-        if (const auto split = text::FindSeparator(line)) {
-          n += split->title.size() + split->value.size();
-        }
-      }
-      return n;
-    }));
-
-    results.push_back(MeasureKernel("tokenize", mode, line_bytes, [&] {
-      ChecksumSink sink;
-      text::TokenScratch scratch;
-      text::Line line;
-      for (size_t i = 0; i < lines.size(); ++i) {
-        line.text = lines[i];
-        line.index = static_cast<int>(i);
-        tokenizer.ExtractTo(line, sink, scratch);
-      }
-      return sink.sum;
-    }));
-
-    results.push_back(MeasureKernel("json_escape", mode, line_bytes, [&] {
-      size_t n = 0;
-      for (const std::string& line : lines) {
-        n += util::JsonWriter::Escape(line).size();
-      }
-      return n;
-    }));
-  }
-  util::scan::ClearForcedMode();
-
-  std::printf("records: %zu (%.1f MiB)   lines: %zu (%.1f MiB)   tiers:",
-              records.size(), static_cast<double>(record_bytes) / (1 << 20),
-              lines.size(), static_cast<double>(line_bytes) / (1 << 20));
-  for (const util::scan::Mode mode : modes) {
-    std::printf(" %s", std::string(util::scan::ModeName(mode)).c_str());
-  }
-  std::printf("\n\n%-16s %-8s %14s %12s\n", "kernel", "tier", "MiB/s",
-              "vs scalar");
-
-  // Per-kernel scalar baselines for the vs-scalar column, and a cross-tier
-  // checksum gate: every tier must do exactly the same logical work.
-  bool checksums_match = true;
-  for (const KernelResult& r : results) {
-    double scalar_bps = 0.0;
-    for (const KernelResult& s : results) {
-      if (s.kernel == r.kernel && s.mode == "scalar") {
-        scalar_bps = s.bytes_per_sec;
-        checksums_match = checksums_match && s.checksum == r.checksum;
+  results.push_back(MeasureKernel("find_separator", line_bytes, [&] {
+    size_t n = 0;
+    for (const std::string& line : lines) {
+      if (const auto split = text::FindSeparator(line)) {
+        n += split->title.size() + split->value.size();
       }
     }
-    std::printf("%-16s %-8s %14.1f %11.2fx\n", r.kernel.c_str(),
-                r.mode.c_str(), r.bytes_per_sec / (1 << 20),
-                scalar_bps > 0.0 ? r.bytes_per_sec / scalar_bps : 0.0);
-  }
-  if (!checksums_match) {
-    std::printf("\nWARNING: kernel checksums differ across tiers\n");
+    return n;
+  }));
+
+  results.push_back(MeasureKernel("json_escape", line_bytes, [&] {
+    size_t n = 0;
+    for (const std::string& line : lines) {
+      n += util::JsonWriter::Escape(line).size();
+    }
+    return n;
+  }));
+
+  std::printf("records: %zu (%.1f MiB)   lines: %zu (%.1f MiB)\n\n",
+              records.size(), static_cast<double>(record_bytes) / (1 << 20),
+              lines.size(), static_cast<double>(line_bytes) / (1 << 20));
+  std::printf("%-16s %14s %20s\n", "kernel", "MiB/s", "checksum");
+  for (const KernelResult& r : results) {
+    std::printf("%-16s %14.1f %20zu\n", r.kernel.c_str(),
+                r.bytes_per_sec / (1 << 20), r.checksum);
   }
 
   const char* out_env = std::getenv("WHOISCRF_BENCH_OUT");
@@ -197,15 +135,11 @@ int Main() {
   os << "  \"lines\": " << lines.size() << ",\n";
   os << "  \"line_bytes\": " << line_bytes << ",\n";
   os << "  \"passes\": " << BenchPasses() << ",\n";
-  os << "  \"best_supported_mode\": \""
-     << util::scan::ModeName(util::scan::BestSupportedMode()) << "\",\n";
-  os << "  \"checksums_match\": " << (checksums_match ? "true" : "false")
-     << ",\n";
   os << "  \"kernels\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
-    os << "    {\"kernel\": \"" << results[i].kernel << "\", \"mode\": \""
-       << results[i].mode << "\", \"bytes_per_sec\": "
-       << results[i].bytes_per_sec << "}"
+    os << "    {\"kernel\": \"" << results[i].kernel
+       << "\", \"bytes_per_sec\": " << results[i].bytes_per_sec
+       << ", \"checksum\": " << results[i].checksum << "}"
        << (i + 1 < results.size() ? ",\n" : "\n");
   }
   os << "  ]\n";

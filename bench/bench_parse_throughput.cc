@@ -122,35 +122,6 @@ int Main() {
     return sum;
   });
 
-  // Beam mode: same fast path with beam-pruned Viterbi (ParseWorkspace::
-  // beam_width) restricted to the transition support recorded at training.
-  // Approximate by design, so it gets its own accuracy accounting instead
-  // of the bit-identical checksum gate: label agreement vs the exact
-  // decode, measured over the last slice.
-  const int beam_width =
-      std::max(1, static_cast<int>(util::EnvInt("WHOISCRF_BENCH_BEAM", 3)));
-  whois::ParseWorkspace beam_ws;
-  beam_ws.beam_width = beam_width;
-  const Measurement beam = Measure(slices, [&](const auto& recs) {
-    double sum = 0.0;
-    for (const std::string& r : recs) sum += Checksum(parser.Parse(r, beam_ws));
-    return sum;
-  });
-  size_t beam_agree = 0;
-  size_t beam_total = 0;
-  for (const std::string& r : slices.back()) {
-    const whois::ParsedWhois exact = parser.Parse(r, fast_ws);
-    const whois::ParsedWhois approx = parser.Parse(r, beam_ws);
-    for (size_t t = 0; t < exact.line_labels.size(); ++t) {
-      ++beam_total;
-      if (approx.line_labels[t] == exact.line_labels[t]) ++beam_agree;
-    }
-  }
-  const double beam_agreement =
-      beam_total > 0
-          ? static_cast<double>(beam_agree) / static_cast<double>(beam_total)
-          : 1.0;
-
   // Sweep 1,2,4,8 capped at the machine's core count, plus the core count
   // itself: on a 1-core box the old unconditional {1,2,4,8} sweep only
   // measured scheduler thrash and reported a meaningless scaling_vs_1.
@@ -187,15 +158,6 @@ int Main() {
               naive.records_per_sec, 1.0);
   std::printf("%-22s %12.0f %9.2fx\n", "fast (workspace)",
               fast.records_per_sec, speedup);
-  char beam_label[40];
-  std::snprintf(beam_label, sizeof(beam_label), "beam K=%d (approx)",
-                beam_width);
-  std::printf("%-22s %12.0f %9.2fx  (label agreement %.4f)\n", beam_label,
-              beam.records_per_sec,
-              naive.records_per_sec > 0.0
-                  ? beam.records_per_sec / naive.records_per_sec
-                  : 0.0,
-              beam_agreement);
   for (size_t i = 0; i < thread_counts.size(); ++i) {
     char label[40];
     std::snprintf(label, sizeof(label), "batch x%zu%s", thread_counts[i],
@@ -227,10 +189,6 @@ int Main() {
   os << "  \"naive_rps\": " << naive.records_per_sec << ",\n";
   os << "  \"fast_rps\": " << fast.records_per_sec << ",\n";
   os << "  \"fast_vs_naive_speedup\": " << speedup << ",\n";
-  os << "  \"beam_width\": " << beam_width << ",\n";
-  os << "  \"beam_rps\": " << beam.records_per_sec << ",\n";
-  os << "  \"beam_label_agreement\": " << beam_agreement << ",\n";
-  os << "  \"beam_accuracy_delta\": " << (1.0 - beam_agreement) << ",\n";
   os << "  \"checksums_match\": " << (checksums_match ? "true" : "false")
      << ",\n";
   os << "  \"batch\": [\n";

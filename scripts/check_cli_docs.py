@@ -15,9 +15,16 @@ other: help.cc drift fails lint, and a flag added to the binary without a
 help entry never reaches either mode — which is exactly why RunCommand
 routes --help through CommandHelp() rather than a second table.
 
-The check is one-directional on purpose: docs may mention flags in prose
-that discuss removed or hypothetical options, but every *real* flag must
-be documented.
+The flag check is one-directional on purpose: docs may mention flags in
+prose that discuss removed or hypothetical options, but every *real* flag
+must be documented.
+
+Both modes also check environment knobs, in both directions: the set of
+WHOISCRF_* names that src/ and bench/ read (through getenv or the
+util::Env* helpers) must equal the rows of README.md's "Environment knobs"
+table. A knob nobody documented is never found, and a row for a knob the
+code no longer reads sends people after a dead switch. Names read only by
+tests/ are not knobs and are not scanned.
 """
 import pathlib
 import re
@@ -29,6 +36,11 @@ HELP_FLAG = re.compile(r"^\s{2}(--[A-Za-z0-9-]+)", re.MULTILINE)
 # Commands registered in help.cc:  add("gen", kGenHelp);
 # (names may be hyphenated, e.g. "shard-router")
 HELP_ADD = re.compile(r'add\("([a-z][a-z-]*)",\s*k\w+Help\)')
+# An environment read: std::getenv("WHOISCRF_X") or util::EnvInt("WHOISCRF_X",
+# ...) and the other util::Env* helpers.
+ENV_READ = re.compile(r'(?:\bgetenv|\bEnv\w*)\(\s*"(WHOISCRF_[A-Z0-9_]+)"')
+# A row of README's knob table: | `WHOISCRF_X=...` | effect |
+ENV_ROW = re.compile(r"^\|\s*`(WHOISCRF_[A-Z0-9_]+)", re.MULTILINE)
 
 
 def flags_from_source(root: pathlib.Path) -> dict:
@@ -78,6 +90,42 @@ def documented_flags(root: pathlib.Path) -> set:
     return mentioned
 
 
+def env_knobs_read(root: pathlib.Path) -> set:
+    names: set = set()
+    for top in ("src", "bench"):
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix in (".cc", ".h"):
+                names.update(ENV_READ.findall(path.read_text()))
+    return names
+
+
+def env_knobs_documented(root: pathlib.Path) -> set:
+    readme = (root / "README.md").read_text()
+    match = re.search(r"^## Environment knobs\n(.*?)(?=^## )", readme,
+                      re.MULTILINE | re.DOTALL)
+    if match is None:
+        raise RuntimeError("README.md has no '## Environment knobs' section")
+    return set(ENV_ROW.findall(match.group(1)))
+
+
+def check_env_knobs(root: pathlib.Path) -> int:
+    read = env_knobs_read(root)
+    documented = env_knobs_documented(root)
+    failed = 0
+    for name in sorted(read - documented):
+        print(f"  env knob {name} is read in src/ or bench/ but has no row "
+              "in README.md's Environment knobs table", file=sys.stderr)
+        failed = 1
+    for name in sorted(documented - read):
+        print(f"  README.md's Environment knobs table lists {name}, which "
+              "nothing in src/ or bench/ reads", file=sys.stderr)
+        failed = 1
+    if not failed:
+        print(f"ok: {len(read)} env knobs read in src/ and bench/, each "
+              "with exactly one README row")
+    return failed
+
+
 def main(argv: list) -> int:
     args = argv[1:]
     binary = None
@@ -101,6 +149,7 @@ def main(argv: list) -> int:
             if flag not in documented:
                 missing.append((command, flag))
 
+    env_failed = check_env_knobs(root)
     if missing:
         print(
             "CLI flags emitted by --help but mentioned nowhere in "
@@ -109,6 +158,8 @@ def main(argv: list) -> int:
         )
         for command, flag in missing:
             print(f"  [{command}] {flag}", file=sys.stderr)
+        return 1
+    if env_failed:
         return 1
     mode = "binary" if binary is not None else "source"
     print(

@@ -39,7 +39,7 @@ void PrintUsage() {
                "json|rdap|fields|labels] [--threads N]\n"
                "          [--stream] [--store-out PREFIX] [--resume]\n"
                "          [--checkpoint-interval N] [--watchdog-ms MS]\n"
-               "          [--max-record-bytes N] [--beam K]\n"
+               "          [--max-record-bytes N]\n"
                "          [--cascade --cascade-data FILE "
                "[--shadow-rate R]]\n"
                "  adapt   --model FILE --data FILE --out FILE\n"

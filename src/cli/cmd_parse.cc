@@ -92,11 +92,6 @@ int CmdParse(util::FlagParser& flags) {
   const size_t threads =
       static_cast<size_t>(flags.GetInt("threads", 0));  // 0 = hardware
   const bool stream = flags.GetBool("stream");
-  // --beam K: opt-in beam-pruned Viterbi (K highest-scoring predecessor
-  // states per step, restricted to transitions observed in training).
-  // Omitting the flag means exact decoding. In-memory mode only.
-  const bool has_beam = flags.Has("beam");
-  const int beam = static_cast<int>(flags.GetInt("beam", 0));
   // --cascade: dispatch template -> rules -> CRF (docs/cascade.md), with
   // the cheap tiers built from the --cascade-data labeled corpus.
   const bool use_cascade = flags.GetBool("cascade");
@@ -127,25 +122,9 @@ int CmdParse(util::FlagParser& flags) {
     std::fprintf(stderr, "parse: unknown --format '%s'\n", format.c_str());
     return 2;
   }
-  if (has_beam && beam <= 0) {
-    std::fprintf(stderr,
-                 "parse: --beam must be >= 1 (omit the flag for exact "
-                 "decoding)\n");
-    return 2;
-  }
-  if (beam > 0 && stream) {
-    std::fprintf(stderr, "parse: --beam is not supported with --stream\n");
-    return 2;
-  }
   if (use_cascade) {
     if (cascade_data.empty()) {
       std::fprintf(stderr, "parse: --cascade requires --cascade-data\n");
-      return 2;
-    }
-    if (beam > 0) {
-      std::fprintf(stderr,
-                   "parse: --beam only applies to the pure-CRF path, not "
-                   "--cascade\n");
       return 2;
     }
     if (cascade_options.shadow_sample_rate < 0.0 ||
@@ -258,7 +237,7 @@ int CmdParse(util::FlagParser& flags) {
     }
   } else {
     util::ThreadPool pool(threads);
-    parses = parser.ParseBatch(records, pool, beam);
+    parses = parser.ParseBatch(records, pool);
   }
 
   for (size_t r = 0; r < records.size(); ++r) {

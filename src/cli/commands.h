@@ -28,7 +28,7 @@ int CmdTrain(util::FlagParser& flags);
 
 // whoiscrf parse   --model FILE [--in FILE | --in-store PREFIX]
 //                  [--format json|rdap|fields|labels] [--threads N]
-//                  [--stream] [--store-out PREFIX] [--beam K]
+//                  [--stream] [--store-out PREFIX]
 //                  [--cascade --cascade-data FILE [--shadow-rate R]
 //                   [--rule-coverage-min X] [--rule-max-unknown N]]
 // Parses raw records (from --in or stdin; multiple records separated by a

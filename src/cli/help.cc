@@ -66,8 +66,6 @@ flags:
   --threads N            worker threads (default 0 = hardware)
   --stream               bounded-memory pipeline; corpus is never
                          materialized (docs/architecture.md)
-  --beam K               beam-pruned Viterbi with width K >= 1 (omit the
-                         flag for exact decoding); in-memory mode only
   --resume               with --stream --store-out: continue an interrupted
                          run from the checkpoint
   --checkpoint-interval N

@@ -11,9 +11,9 @@ namespace whoiscrf::crf {
 namespace {
 
 constexpr uint32_t kMagic = 0x57435246;  // "WCRF"
-// v2 appends the transition-support mask (observed label bigrams) after the
-// weights. v1 streams load fine — they simply carry no support, which reads
-// back as "every transition supported".
+// v2 appends a label-bigram support block after the weights. Save writes it
+// empty; Load validates its size and skips it, so v1 streams and v2 streams
+// from older writers (which filled it) load to the same model.
 constexpr uint32_t kVersion = 2;
 
 void WriteU32(std::ostream& os, uint32_t v) {
@@ -254,14 +254,6 @@ int CrfModel::TransSlot(int attr_id) const {
   return it != slot_of_attr_.end() ? it->second : -1;
 }
 
-void CrfModel::set_transition_support(std::vector<uint8_t> support) {
-  const size_t L = static_cast<size_t>(num_labels());
-  if (!support.empty() && support.size() != L * L) {
-    throw std::invalid_argument("CrfModel: transition support must be L*L");
-  }
-  transition_support_ = std::move(support);
-}
-
 int CrfModel::LabelId(std::string_view name) const {
   for (size_t i = 0; i < label_names_.size(); ++i) {
     if (label_names_[i] == name) return static_cast<int>(i);
@@ -280,10 +272,7 @@ void CrfModel::Save(std::ostream& os) const {
   WriteU32(os, static_cast<uint32_t>(weights_.size()));
   os.write(reinterpret_cast<const char*>(weights_.data()),
            static_cast<std::streamsize>(weights_.size() * sizeof(double)));
-  // v2 trailer: the transition-support mask (possibly empty).
-  WriteU32(os, static_cast<uint32_t>(transition_support_.size()));
-  os.write(reinterpret_cast<const char*>(transition_support_.data()),
-           static_cast<std::streamsize>(transition_support_.size()));
+  WriteU32(os, 0);  // v2 trailer: empty support block
   if (!os) throw std::runtime_error("CrfModel::Save: write failed");
 }
 
@@ -315,14 +304,18 @@ CrfModel CrfModel::Load(std::istream& is) {
           static_cast<std::streamsize>(num_weights * sizeof(double)));
   if (!is) throw std::runtime_error("CrfModel::Load: truncated weights");
   if (version >= 2) {
+    // v2 trailer: the transition-support mask older writers filled for
+    // beam decoding (0 or L*L bytes). Nothing reads it any more; check the
+    // declared size before skipping so a hostile file cannot claim 4 GiB.
     const uint32_t support_size = ReadU32(is);
-    std::vector<uint8_t> support(support_size);
-    if (support_size > 0) {
-      is.read(reinterpret_cast<char*>(support.data()),
-              static_cast<std::streamsize>(support_size));
-      if (!is) throw std::runtime_error("CrfModel::Load: truncated support");
+    const uint64_t L = num_labels;
+    if (support_size != 0 && support_size != L * L) {
+      throw std::runtime_error("CrfModel::Load: bad support size");
     }
-    model.set_transition_support(std::move(support));
+    is.ignore(static_cast<std::streamsize>(support_size));
+    if (is.gcount() != static_cast<std::streamsize>(support_size)) {
+      throw std::runtime_error("CrfModel::Load: truncated support");
+    }
   }
   return model;
 }

@@ -15,7 +15,6 @@
 // order as the paper's ("nearly 1M features" for the first-level CRF).
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -148,22 +147,6 @@ class CrfModel {
   // Label id by name, or -1.
   int LabelId(std::string_view name) const;
 
-  // --- Transition support -----------------------------------------------
-  // Label bigrams observed in training: support[i*L + j] != 0 means the
-  // transition i -> j occurred in the training labels. Empty means unknown
-  // (treat every transition as supported — the state of models saved before
-  // format v2). The default decode path never consults this; beam decoding
-  // uses it to prune predecessor candidates (viterbi.h DecodeBeam).
-  const std::vector<uint8_t>& transition_support() const {
-    return transition_support_;
-  }
-  void set_transition_support(std::vector<uint8_t> support);
-  // Convenience for DecodeBeam: data() of the support mask, or nullptr when
-  // no support was recorded.
-  const uint8_t* transition_support_mask() const {
-    return transition_support_.empty() ? nullptr : transition_support_.data();
-  }
-
   // --- Serialization ----------------------------------------------------
   void Save(std::ostream& os) const;
   static CrfModel Load(std::istream& is);
@@ -180,7 +163,6 @@ class CrfModel {
   std::unordered_map<int, int> slot_of_attr_;  // attr id -> slot
   std::vector<int> slot_attrs_;                // slot -> attr id
   std::vector<double> weights_;
-  std::vector<uint8_t> transition_support_;    // L*L, empty = unknown
 
   size_t unigram_block_ = 0;     // A*L
   size_t transition_block_ = 0;  // L*L

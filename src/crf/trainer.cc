@@ -52,21 +52,6 @@ const TrainMetrics& GetTrainMetrics() {
   return metrics;
 }
 
-// Label bigrams occurring in the training labels, as an L*L presence mask.
-// Stored on the model (and serialized, format v2) so pruned decoding can
-// restrict predecessor candidates to transitions the data actually exhibits.
-std::vector<uint8_t> ObservedTransitionSupport(
-    size_t num_labels, const std::vector<Instance>& data) {
-  std::vector<uint8_t> support(num_labels * num_labels, 0);
-  for (const Instance& inst : data) {
-    for (size_t t = 1; t < inst.labels.size(); ++t) {
-      support[static_cast<size_t>(inst.labels[t - 1]) * num_labels +
-              static_cast<size_t>(inst.labels[t])] = 1;
-    }
-  }
-  return support;
-}
-
 }  // namespace
 
 Trainer::Trainer(TrainerOptions options) : options_(options) {}
@@ -202,8 +187,6 @@ CrfModel Trainer::Train(const std::vector<std::string>& label_names,
             model.vocab().size(), model.num_weights());
 
   Optimize(model, dataset, stats);
-  model.set_transition_support(
-      ObservedTransitionSupport(static_cast<size_t>(model.num_labels()), data));
   return model;
 }
 
@@ -262,16 +245,6 @@ CrfModel Trainer::Adapt(const CrfModel& base,
     stats->num_transition_slots = model.num_transition_slots();
   }
   Optimize(model, dataset, stats);
-  // Adaptation data is typically a handful of records; union its bigrams
-  // with the base model's so re-training never *loses* known transitions.
-  std::vector<uint8_t> support = ObservedTransitionSupport(
-      static_cast<size_t>(model.num_labels()), data);
-  if (base.transition_support().size() == support.size()) {
-    for (size_t i = 0; i < support.size(); ++i) {
-      support[i] = support[i] | base.transition_support()[i];
-    }
-  }
-  model.set_transition_support(std::move(support));
   return model;
 }
 

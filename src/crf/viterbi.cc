@@ -1,8 +1,6 @@
 #include "crf/viterbi.h"
 
-#include <algorithm>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "crf/workspace.h"
@@ -59,101 +57,6 @@ const ViterbiResult& Decode(const CrfModel::Scores& s, Workspace& ws) {
   }
   result.score = best;
   for (int t = T - 1; t > 0; --t) {  // eq. 17 backtracking
-    result.labels[static_cast<size_t>(t - 1)] =
-        back[static_cast<size_t>(t) * L + result.labels[static_cast<size_t>(t)]];
-  }
-  return result;
-}
-
-ViterbiResult DecodeBeam(const CrfModel::Scores& s, int beam_width,
-                         const uint8_t* support) {
-  Workspace ws;
-  DecodeBeam(s, beam_width, ws, support);
-  return std::move(ws.viterbi);
-}
-
-const ViterbiResult& DecodeBeam(const CrfModel::Scores& s, int beam_width,
-                                Workspace& ws, const uint8_t* support) {
-  if (s.T <= 0) throw std::invalid_argument("Viterbi: empty sequence");
-  if (beam_width <= 0) throw std::invalid_argument("Viterbi: beam width < 1");
-  const int T = s.T;
-  const int L = s.L;
-  const int K = std::min(beam_width, L);
-
-  std::vector<double>& V = ws.viterbi_score;
-  std::vector<int>& back = ws.viterbi_back;
-  V.resize(static_cast<size_t>(T) * L);
-  back.resize(static_cast<size_t>(T) * L);
-
-  // Selects the K best labels of the V row at `t` (ties to the lower label
-  // id, so narrowing the beam is deterministic) into ws.beam, ascending —
-  // scanning the beam in ascending label order makes the K >= L case
-  // perform Decode's comparisons in Decode's order exactly.
-  auto select_beam = [&](int t) {
-    const double* V_t = &V[static_cast<size_t>(t) * L];
-    std::vector<int>& cand = ws.beam_cand;
-    cand.resize(static_cast<size_t>(L));
-    std::iota(cand.begin(), cand.end(), 0);
-    std::partial_sort(cand.begin(), cand.begin() + K, cand.end(),
-                      [V_t](int a, int b) {
-                        if (V_t[a] != V_t[b]) return V_t[a] > V_t[b];
-                        return a < b;
-                      });
-    ws.beam.assign(cand.begin(), cand.begin() + K);
-    std::sort(ws.beam.begin(), ws.beam.end());
-  };
-
-  for (int j = 0; j < L; ++j) V[static_cast<size_t>(j)] = s.unary[static_cast<size_t>(j)];
-  select_beam(0);
-
-  for (int t = 1; t < T; ++t) {
-    const double* V_prev = &V[static_cast<size_t>(t - 1) * L];
-    const double* pair_t = s.PairRow(t);
-    const uint8_t* support_row = support;  // support[i*L+j], row-major by i
-    for (int j = 0; j < L; ++j) {
-      double best = -std::numeric_limits<double>::infinity();
-      int best_i = -1;
-      for (int i : ws.beam) {
-        if (support_row != nullptr && support_row[i * L + j] == 0) continue;
-        const double cand = V_prev[i] + pair_t[i * L + j];
-        if (cand > best) {
-          best = cand;
-          best_i = i;
-        }
-      }
-      if (best_i < 0) {
-        // Every in-beam predecessor of j is support-pruned (or the beam is
-        // somehow empty of candidates): fall back to the unpruned beam so
-        // the DP row stays total and backtracking cannot dead-end.
-        for (int i : ws.beam) {
-          const double cand = V_prev[i] + pair_t[i * L + j];
-          if (cand > best) {
-            best = cand;
-            best_i = i;
-          }
-        }
-        // All candidates -inf (cannot happen with finite weights, but keep
-        // the backpointer row total regardless).
-        if (best_i < 0) best_i = ws.beam.front();
-      }
-      V[static_cast<size_t>(t) * L + j] =
-          best + s.unary[static_cast<size_t>(t) * L + j];
-      back[static_cast<size_t>(t) * L + j] = best_i;
-    }
-    if (t + 1 < T) select_beam(t);
-  }
-
-  ViterbiResult& result = ws.viterbi;
-  result.labels.assign(static_cast<size_t>(T), 0);
-  double best = -std::numeric_limits<double>::infinity();
-  for (int j = 0; j < L; ++j) {
-    if (V[static_cast<size_t>(T - 1) * L + j] > best) {
-      best = V[static_cast<size_t>(T - 1) * L + j];
-      result.labels[static_cast<size_t>(T - 1)] = j;
-    }
-  }
-  result.score = best;
-  for (int t = T - 1; t > 0; --t) {
     result.labels[static_cast<size_t>(t - 1)] =
         back[static_cast<size_t>(t) * L + result.labels[static_cast<size_t>(t)]];
   }

@@ -2,7 +2,6 @@
 // the model, computed by dynamic programming with backtracking in O(L^2 T).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "crf/model.h"
@@ -23,26 +22,6 @@ ViterbiResult Decode(const CrfModel::Scores& scores);
 // (viterbi_score/viterbi_back/viterbi), so repeated decoding allocates
 // nothing once the workspace has warmed up. Returns `ws.viterbi`.
 const ViterbiResult& Decode(const CrfModel::Scores& scores, Workspace& ws);
-
-// Beam-pruned Viterbi: at each step only the `beam_width` highest-scoring
-// predecessor states extend paths, so the inner loop costs O(K*L) instead
-// of O(L^2). With `support` (an L*L mask of label bigrams observed in
-// training, CrfModel::transition_support_mask()) unsupported transitions
-// are additionally skipped; a state whose supported predecessors are all
-// outside the beam falls back to the unpruned beam so every label keeps a
-// well-defined score and backtracking never dead-ends.
-//
-// Exactness: with beam_width >= L and support == nullptr this performs the
-// same comparisons in the same order as Decode and returns bit-identical
-// labels and score. Narrower beams (or support pruning) trade exactness
-// for speed; bench_parse_throughput measures the label-agreement delta.
-ViterbiResult DecodeBeam(const CrfModel::Scores& scores, int beam_width,
-                         const uint8_t* support = nullptr);
-
-// Workspace variant (DP tables, beam lists, and the result live in `ws`).
-const ViterbiResult& DecodeBeam(const CrfModel::Scores& scores,
-                                int beam_width, Workspace& ws,
-                                const uint8_t* support = nullptr);
 
 // Brute-force argmax over all L^T paths, for validating Decode in tests.
 ViterbiResult DecodeBruteForce(const CrfModel::Scores& scores);

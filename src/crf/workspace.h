@@ -44,11 +44,6 @@ struct Workspace {
   std::vector<int> viterbi_back;      // T*L backpointers
   ViterbiResult viterbi;
 
-  // Beam-Viterbi state (viterbi.h DecodeBeam): the active predecessor set
-  // and the candidate list used to select the next one.
-  std::vector<int> beam;       // <= beam_width labels, ascending
-  std::vector<int> beam_cand;  // L label ids, partially ordered by score
-
   // Tagger output (tagger.h TagCompiled* methods).
   TagResult tag;
 };

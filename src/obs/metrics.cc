@@ -32,14 +32,23 @@ Labels SortedLabels(const Labels& labels) {
 }
 
 // Serialized instance key within a family: `k1="v1",k2="v2"` over the
-// sorted label set (also exactly the Prometheus label body).
+// sorted label set (also exactly the Prometheus label body). Values are
+// escaped as the text exposition format requires (\\, \", \n): some are
+// parsed from records, e.g. the cascade's registrar label.
 std::string LabelKey(const Labels& sorted) {
   std::string key;
   for (const auto& [k, v] : sorted) {
     if (!key.empty()) key += ',';
     key += k;
     key += "=\"";
-    key += v;  // label values here are short identifiers; no escaping
+    for (const char c : v) {
+      switch (c) {
+        case '\\': key += "\\\\"; break;
+        case '"': key += "\\\""; break;
+        case '\n': key += "\\n"; break;
+        default: key += c;
+      }
+    }
     key += '"';
   }
   return key;

@@ -89,12 +89,12 @@ void SplitRecordInto(std::string_view record, std::vector<Line>& out) {
   size_t used = 0;
   // Inline line split (same \n / \r\n / bare-\r handling as
   // util::SplitLines) so no intermediate vector of pieces is built; the
-  // chunked scan jumps terminator to terminator instead of walking bytes.
+  // class scan jumps terminator to terminator.
   size_t start = 0;
   size_t raw = 0;
-  for (size_t nl = util::scan::FindNewline(record);
+  for (size_t nl = util::scan::FindClass(record, util::scan::kNewline);
        nl != std::string_view::npos;
-       nl = util::scan::FindNewline(record, start)) {
+       nl = util::scan::FindClass(record, util::scan::kNewline, start)) {
     FeedLine(record.substr(start, nl - start), raw++, state, out, used);
     // "\r\n" is one terminator; "\n" and bare "\r" each end a line alone.
     start = nl + 1;

@@ -30,11 +30,10 @@ std::optional<SeparatorSplit> FindSeparator(std::string_view line) {
     }
   }
   // Only five characters can open a separator (':' '.' '\t' '=' ' '), so
-  // jump from candidate to candidate with a chunked scan; everything in
-  // between is skipped without a per-byte branch.
-  for (size_t i = util::scan::FindSepTrigger(body);
+  // jump from candidate to candidate with a class-table scan.
+  for (size_t i = util::scan::FindClass(body, util::scan::kSepTrigger);
        i != std::string_view::npos;
-       i = util::scan::FindSepTrigger(body, i + 1)) {
+       i = util::scan::FindClass(body, util::scan::kSepTrigger, i + 1)) {
     const char c = body[i];
     if (c == ':') {
       if (ColonIsUrlScheme(body, i)) continue;

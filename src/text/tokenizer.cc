@@ -21,14 +21,14 @@ namespace scan = util::scan;
 bool IsEdgePunct(char c) { return scan::InClass(c, scan::kEdgePunct); }
 
 // Whitespace-split without materializing a vector of pieces; word
-// boundaries come from chunked space scans rather than per-byte tests.
+// boundaries come from class-table space scans.
 template <typename Fn>
 void ForEachWord(std::string_view s, Fn&& fn) {
   size_t i = 0;
   while (i < s.size()) {
-    const size_t start = scan::SkipSpace(s, i);
+    const size_t start = scan::FindNotClass(s, scan::kSpace, i);
     if (start == std::string_view::npos) return;
-    size_t end = scan::FindSpace(s, start);
+    size_t end = scan::FindClass(s, scan::kSpace, start);
     if (end == std::string_view::npos) end = s.size();
     fn(s.substr(start, end - start));
     i = end;

@@ -1,33 +1,13 @@
-// Branchless / vectorized byte-scanning primitives for the text hot path.
+// Table-driven byte scanning for the text hot path.
 //
-// The parser's per-record cost is dominated by byte-at-a-time loops:
-// line splitting, whitespace word splitting, separator detection, %%-frame
-// scanning, and JSON escaping all walk the record one byte and one branch
-// at a time. This module replaces those walks with three interchangeable
-// implementation tiers, all with identical observable behavior:
+// Line splitting, whitespace word splitting, separator detection, %%-frame
+// scanning and JSON escaping all ask the same question of each byte: is it
+// in some class? One 256-entry table answers it with a single indexed load,
+// one bit per class, so every scan is a plain loop over the bytes.
 //
-//   kScalar  one 256-entry classification-table lookup per byte; the
-//            reference implementation and the portable floor.
-//   kSwar    uint64_t-at-a-time "SIMD within a register": 8 bytes per
-//            iteration using carry-free equality/range masks. Portable
-//            C++ (little-endian hosts; big-endian falls back to scalar).
-//   kSimd    SSE2 (x86-64 baseline) or AVX2 (runtime-detected) compare +
-//            movemask scans, 16/32 bytes per iteration. Compiled only on
-//            x86-64 gcc/clang; -DWHOISCRF_NO_SIMD removes it entirely
-//            (the portable build), leaving kSwar as the best tier.
-//
-// The active tier is chosen once at startup (best supported, overridable
-// with WHOISCRF_SCAN_MODE=scalar|swar|simd) and can be forced per-test
-// with ForceMode() — tests/test_text_simd.cc sweeps all tiers against the
-// scalar reference on randomized inputs and asserts identical output.
-//
-// Adding a new byte class: add a bit constant below, set it for the
-// class's bytes in BuildClassTable() (byte_scan.cc), and use FindClass /
-// InClass — those are table-driven and work on every tier unchanged. Only
-// add a dedicated SWAR/SIMD kernel (and its dispatch switch) when a scan
-// is hot enough to profile; kernels must treat bytes >= 0x80 exactly like
-// the table does and are only reachable on tiers whose compile-time gates
-// passed, so the portable build never needs them.
+// Adding a new byte class: add a bit constant below, set it for the class's
+// bytes in BuildClassTable(), and scan with FindClass / FindNotClass /
+// InClass.
 #pragma once
 
 #include <array>
@@ -37,40 +17,16 @@
 
 namespace whoiscrf::util::scan {
 
-// --- Implementation tiers --------------------------------------------------
-
-enum class Mode { kScalar = 0, kSwar = 1, kSimd = 2 };
-
-// Best tier this binary + CPU supports (kSimd only when compiled in and
-// the CPU has at least SSE2; SWAR requires little-endian).
-Mode BestSupportedMode();
-
-// The tier scans currently run on: ForceMode override if set, else the
-// WHOISCRF_SCAN_MODE environment override, else BestSupportedMode().
-Mode ActiveMode();
-
-// Test hooks: pin the tier (clamped to BestSupportedMode()) / unpin.
-void ForceMode(Mode mode);
-void ClearForcedMode();
-
-// "scalar" / "swar" / "simd".
-std::string_view ModeName(Mode mode);
-
-// True when kSimd kernels are compiled into this binary and the CPU
-// supports them (reporting only; ActiveMode() already accounts for it).
-bool SimdAvailable();
-
 // --- Byte classification ---------------------------------------------------
 //
-// One 256-entry table, one bit per class; class membership of a byte is a
-// single indexed load. Masks can be OR-combined (kAlnum below).
+// Masks can be OR-combined (kAlnum below).
 
 inline constexpr uint8_t kSpace = 1u << 0;       // ' ' \t \n \v \f \r
 inline constexpr uint8_t kDigit = 1u << 1;       // 0-9
 inline constexpr uint8_t kUpper = 1u << 2;       // A-Z
 inline constexpr uint8_t kLower = 1u << 3;       // a-z
 inline constexpr uint8_t kNewline = 1u << 4;     // \n \r
-inline constexpr uint8_t kJsonEscape = 1u << 5;  // < 0x20, '"', '\\'
+inline constexpr uint8_t kJsonEscape = 1u << 5;  // < 0x20, '"', '\\', >= 0x80
 inline constexpr uint8_t kEdgePunct = 1u << 6;   // tokenizer edge punctuation
 inline constexpr uint8_t kSepTrigger = 1u << 7;  // : . \t = ' ' (separator.cc)
 inline constexpr uint8_t kAlpha = kUpper | kLower;
@@ -88,7 +44,10 @@ constexpr std::array<uint8_t, 256> BuildClassTable() {
   for (unsigned c = 'a'; c <= 'z'; ++c) add(c, kLower);
   add('\n', kNewline);
   add('\r', kNewline);
+  // JSON must escape control bytes, '"' and '\\'; bytes >= 0x80 stop the
+  // clean-run scan too so the writer can check their UTF-8 (util/json.cc).
   for (unsigned c = 0; c < 0x20; ++c) add(c, kJsonEscape);
+  for (unsigned c = 0x80; c < 0x100; ++c) add(c, kJsonEscape);
   add('"', kJsonEscape);
   add('\\', kJsonEscape);
   for (const char c : {',', '.', ';', '"', '\'', '(', ')', '[', ']', '<', '>',
@@ -114,28 +73,33 @@ inline constexpr bool InClass(char c, uint8_t mask) {
 
 // --- Scans -----------------------------------------------------------------
 //
-// All return an index into `s` (>= from), or std::string_view::npos when
+// Both return an index into `s` (>= from), or std::string_view::npos when
 // no byte qualifies. `from` past the end is allowed and returns npos.
 
-// First byte in any class of `mask` (table-driven; every tier).
-size_t FindClass(std::string_view s, uint8_t mask, size_t from = 0);
+// First byte in any class of `mask`.
+inline size_t FindClass(std::string_view s, uint8_t mask, size_t from = 0) {
+  for (size_t i = from; i < s.size(); ++i) {
+    if (InClass(s[i], mask)) return i;
+  }
+  return std::string_view::npos;
+}
 
-// Dedicated kernels for the hot classes (same result as FindClass with
-// the matching mask, but with SWAR/SIMD fast paths):
-size_t FindNewline(std::string_view s, size_t from = 0);  // kNewline
-size_t FindSpace(std::string_view s, size_t from = 0);    // kSpace
-size_t SkipSpace(std::string_view s, size_t from = 0);    // first NON-space
-size_t FindJsonEscape(std::string_view s, size_t from = 0);  // kJsonEscape
-size_t FindSepTrigger(std::string_view s, size_t from = 0);  // kSepTrigger
-
-// True if any byte is ASCII alphanumeric (== FindClass(s, kAlnum) != npos).
-bool HasAlnum(std::string_view s);
-
-// True if non-empty and every byte is an ASCII digit.
-bool AllDigits(std::string_view s);
+// First byte in none of the classes of `mask`.
+inline size_t FindNotClass(std::string_view s, uint8_t mask,
+                           size_t from = 0) {
+  for (size_t i = from; i < s.size(); ++i) {
+    if (!InClass(s[i], mask)) return i;
+  }
+  return std::string_view::npos;
+}
 
 // ASCII-lowercases n bytes from `in` into `out` (in == out is fine;
 // other overlaps are not). Bytes outside A-Z are copied untouched.
-void AsciiLower(const char* in, size_t n, char* out);
+inline void AsciiLower(const char* in, size_t n, char* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const char c = in[i];
+    out[i] = InClass(c, kUpper) ? static_cast<char>(c | 0x20) : c;
+  }
+}
 
 }  // namespace whoiscrf::util::scan

@@ -9,17 +9,62 @@ namespace whoiscrf::util {
 
 namespace {
 
-// Escapes `raw` directly onto `out`. Clean runs (everything outside the
-// RFC 8259 must-escape set: < 0x20, '"', '\\') are located with a chunked
-// scan and appended in bulk, so the common all-clean string costs one
-// vectorized pass and one append.
+// Length of the UTF-8 sequence that starts at the byte s[i] >= 0x80. When
+// it is well-formed (Unicode Table 3-7: no overlong forms, no surrogates,
+// nothing above U+10FFFF) `ok` is set and the whole sequence is returned;
+// otherwise the length of its maximal ill-formed prefix (at least 1), which
+// becomes one U+FFFD.
+size_t Utf8Sequence(std::string_view s, size_t i, bool& ok) {
+  const unsigned char c = static_cast<unsigned char>(s[i]);
+  size_t need = 0;  // continuation bytes
+  unsigned char lo = 0x80;  // allowed range of the first continuation byte
+  unsigned char hi = 0xBF;
+  if (c >= 0xC2 && c <= 0xDF) {
+    need = 1;
+  } else if (c >= 0xE0 && c <= 0xEF) {
+    need = 2;
+    if (c == 0xE0) lo = 0xA0;  // overlong
+    if (c == 0xED) hi = 0x9F;  // surrogates
+  } else if (c >= 0xF0 && c <= 0xF4) {
+    need = 3;
+    if (c == 0xF0) lo = 0x90;  // overlong
+    if (c == 0xF4) hi = 0x8F;  // above U+10FFFF
+  } else {
+    ok = false;  // stray continuation byte or invalid lead byte
+    return 1;
+  }
+  size_t n = 1;
+  for (; n <= need && i + n < s.size(); ++n) {
+    const unsigned char b = static_cast<unsigned char>(s[i + n]);
+    if (b < lo || b > hi) break;
+    lo = 0x80;
+    hi = 0xBF;
+  }
+  ok = n > need;
+  return n;
+}
+
+// Escapes `raw` directly onto `out`. Clean runs (printable ASCII other than
+// '"' and '\\', plus well-formed UTF-8) are appended in bulk, so the common
+// all-ASCII string costs one table scan and one append.
 void AppendEscapedTo(std::string& out, std::string_view raw) {
   size_t run = 0;  // start of the current clean run
-  for (size_t i = scan::FindJsonEscape(raw);
-       i != std::string_view::npos; i = scan::FindJsonEscape(raw, i + 1)) {
+  size_t next = 0;  // where the scan for the next escape resumes
+  for (size_t i = scan::FindClass(raw, scan::kJsonEscape);
+       i != std::string_view::npos;
+       i = scan::FindClass(raw, scan::kJsonEscape, next)) {
     const unsigned char c = static_cast<unsigned char>(raw[i]);
+    if (c >= 0x80) {
+      bool ok = false;
+      next = i + Utf8Sequence(raw, i, ok);
+      if (ok) continue;  // stays part of the clean run
+      out.append(raw, run, i - run);
+      out += "\xEF\xBF\xBD";  // U+FFFD
+      run = next;
+      continue;
+    }
     out.append(raw, run, i - run);
-    run = i + 1;
+    run = next = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;

@@ -1,6 +1,8 @@
 // Minimal JSON writer (no parsing, no DOM): enough to export parsed WHOIS
-// records as structured data. Strings are escaped per RFC 8259; output is
-// deterministic (insertion order).
+// records as structured data. Strings are escaped per RFC 8259 and always
+// come out as valid UTF-8: well-formed multi-byte sequences are copied as-is
+// and each ill-formed one becomes U+FFFD. Output is deterministic
+// (insertion order).
 #pragma once
 
 #include <string>

@@ -9,7 +9,7 @@
 namespace whoiscrf::util {
 
 std::string_view TrimLeft(std::string_view s) {
-  const size_t i = scan::SkipSpace(s);
+  const size_t i = scan::FindNotClass(s, scan::kSpace);
   return i == std::string_view::npos ? s.substr(s.size()) : s.substr(i);
 }
 
@@ -55,9 +55,9 @@ std::vector<std::string_view> SplitWhitespace(std::string_view s) {
   std::vector<std::string_view> out;
   size_t i = 0;
   while (i < s.size()) {
-    const size_t start = scan::SkipSpace(s, i);
+    const size_t start = scan::FindNotClass(s, scan::kSpace, i);
     if (start == std::string_view::npos) break;
-    size_t end = scan::FindSpace(s, start);
+    size_t end = scan::FindClass(s, scan::kSpace, start);
     if (end == std::string_view::npos) end = s.size();
     out.push_back(s.substr(start, end - start));
     i = end;
@@ -157,9 +157,14 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
   }
 }
 
-bool IsDigits(std::string_view s) { return scan::AllDigits(s); }
+bool IsDigits(std::string_view s) {
+  return !s.empty() &&
+         scan::FindNotClass(s, scan::kDigit) == std::string_view::npos;
+}
 
-bool HasAlnum(std::string_view s) { return scan::HasAlnum(s); }
+bool HasAlnum(std::string_view s) {
+  return scan::FindClass(s, scan::kAlnum) != std::string_view::npos;
+}
 
 std::string WithCommas(long long n) {
   const bool neg = n < 0;

@@ -53,7 +53,8 @@ bool RecordStreamReader::Next(StreamedRecord& out) {
           continue;
         }
       }
-      const size_t nl = util::scan::FindNewline(chunk_, pos_);
+      const size_t nl =
+          util::scan::FindClass(chunk_, util::scan::kNewline, pos_);
       if (nl == std::string_view::npos) {
         partial_.append(chunk_, pos_, chunk_.size() - pos_);
         pos_ = chunk_.size();

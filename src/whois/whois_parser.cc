@@ -761,15 +761,7 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
   // ComputeScores' order), and Decode/LogPartition run the same operations
   // in the same order as Tagger::TagWithConfidence's label and log-prob
   // computation — so the outputs match ParseNaive exactly.
-  // Beam mode (opt-in, ws.beam_width > 0) swaps exact Viterbi for the
-  // pruned DecodeBeam restricted to transitions observed in training;
-  // log Z stays exact, so log_prob is still the true log-probability of
-  // whichever path is returned.
-  const crf::ViterbiResult& level1 =
-      ws.beam_width > 0
-          ? crf::DecodeBeam(ws.crf.scores, ws.beam_width, ws.crf,
-                            level1_->transition_support_mask())
-          : crf::Decode(ws.crf.scores, ws.crf);
+  const crf::ViterbiResult& level1 = crf::Decode(ws.crf.scores, ws.crf);
   out.log_prob = level1.score - crf::LogPartition(ws.crf.scores, ws.crf);
   out.line_labels.reserve(level1.labels.size());
   for (int label : level1.labels) {
@@ -810,11 +802,7 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
         }
       }
     }
-    const crf::ViterbiResult& sub =
-        ws.beam_width > 0
-            ? crf::DecodeBeam(ws.crf.scores, ws.beam_width, ws.crf,
-                              level2_->transition_support_mask())
-            : crf::Decode(ws.crf.scores, ws.crf);
+    const crf::ViterbiResult& sub = crf::Decode(ws.crf.scores, ws.crf);
     for (int label : sub.labels) {
       subs.push_back(static_cast<Level2Label>(label));
     }
@@ -842,14 +830,12 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
 }
 
 std::vector<ParsedWhois> WhoisParser::ParseBatch(
-    std::span<const std::string> records, util::ThreadPool& pool,
-    int beam_width) const {
+    std::span<const std::string> records, util::ThreadPool& pool) const {
   obs::ScopedSpan span("whois.parse_batch");
   std::vector<ParsedWhois> out(records.size());
   if (records.empty()) return out;
   const size_t chunks = std::min(records.size(), pool.size());
   std::vector<ParseWorkspace> workspaces(chunks);
-  for (ParseWorkspace& ws : workspaces) ws.beam_width = beam_width;
   pool.ParallelChunks(records.size(),
                       [&](size_t begin, size_t end, size_t chunk) {
                         obs::ScopedSpan chunk_span("whois.parse_chunk");

@@ -148,13 +148,6 @@ struct LineSlot {
 // records the buffers stop growing and Parse runs allocation-free on
 // cache hits (apart from the strings of the ParsedWhois it returns).
 struct ParseWorkspace {
-  // Opt-in beam decoding (cli --beam): 0 decodes both CRF levels with exact
-  // Viterbi (the default, bit-identical to ParseNaive); K > 0 uses
-  // crf::DecodeBeam with width K, pruned to the label bigrams observed in
-  // training (CrfModel::transition_support). Labels can then differ from
-  // the exact path; bench_parse_throughput reports the agreement delta.
-  int beam_width = 0;
-
   std::vector<text::Line> lines;
   std::vector<Level2Label> sub_labels;
   std::vector<Level2Label> other_subs;
@@ -225,11 +218,8 @@ class WhoisParser {
 
   // Parses many records on a thread pool, one workspace per chunk.
   // Results are in input order and identical to calling Parse on each.
-  // `beam_width` > 0 decodes with beam-pruned Viterbi (see
-  // ParseWorkspace::beam_width); 0 is exact.
   std::vector<ParsedWhois> ParseBatch(std::span<const std::string> records,
-                                      util::ThreadPool& pool,
-                                      int beam_width = 0) const;
+                                      util::ThreadPool& pool) const;
 
   // Level-1 labels only (used by the evaluation harness).
   std::vector<Level1Label> LabelLines(std::string_view record_text) const;

@@ -266,28 +266,8 @@ TEST(CliCommandsTest, StreamStoreQuarantinesAndResumesIdempotently) {
   EXPECT_EQ(shard_before, shard_after);
 }
 
-TEST(CliCommandsTest, BeamZeroRejectsWithClearError) {
-  // --beam 0 is a footgun (it would silently mean "exact decoding" while
-  // looking like a tiny beam); the flag demands K >= 1. Validation runs
-  // before the model loads, so no model file is needed.
-  {
-    auto flags = Parse({"--model", "unused.model", "--beam", "0"});
-    EXPECT_EQ(cli::CmdParse(flags), 2);
-  }
-  {
-    auto flags = Parse({"--model", "unused.model", "--beam", "-3"});
-    EXPECT_EQ(cli::CmdParse(flags), 2);
-  }
-}
-
 TEST(CliCommandsTest, CascadeRequiresData) {
   auto flags = Parse({"--model", "unused.model", "--cascade"});
-  EXPECT_EQ(cli::CmdParse(flags), 2);
-}
-
-TEST(CliCommandsTest, CascadeRejectsBeam) {
-  auto flags = Parse({"--model", "unused.model", "--cascade",
-                      "--cascade-data", "unused.txt", "--beam", "2"});
   EXPECT_EQ(cli::CmdParse(flags), 2);
 }
 
@@ -308,7 +288,7 @@ TEST(RunCommandTest, HelpPrintsFlagTable) {
   // The flag table names every parse flag, including the cascade knobs
   // and the global telemetry flags.
   for (const char* flag :
-       {"--model", "--beam", "--cascade", "--cascade-data", "--shadow-rate",
+       {"--model", "--cascade", "--cascade-data", "--shadow-rate",
         "--metrics-out", "--trace-out"}) {
     EXPECT_NE(out.find(flag), std::string::npos) << flag;
   }

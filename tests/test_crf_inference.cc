@@ -233,134 +233,80 @@ TEST(ModelSerializationTest, RejectsCorruptStream) {
   EXPECT_THROW(CrfModel::Load(ss), std::runtime_error);
 }
 
-TEST(ModelSerializationTest, TransitionSupportRoundTrips) {
-  CrfModel model = RandomModel(3, 4, 91);
-  std::vector<uint8_t> support(9, 0);
-  support[0 * 3 + 1] = 1;
-  support[1 * 3 + 2] = 1;
-  support[2 * 3 + 0] = 1;
-  model.set_transition_support(support);
+// A saved v2 stream with its trailing support block (u32 size + bytes)
+// replaced by one declaring `declared` bytes and carrying `present` of them.
+// Older writers filled the block with the label bigrams seen in training.
+std::string WithSupportBlock(const CrfModel& model, uint32_t declared,
+                             size_t present) {
   std::stringstream ss;
   model.Save(ss);
-  const CrfModel loaded = CrfModel::Load(ss);
-  EXPECT_EQ(loaded.transition_support(), support);
-  EXPECT_NE(loaded.transition_support_mask(), nullptr);
+  std::string bytes = ss.str();
+  bytes.resize(bytes.size() - 4);  // Save writes an empty block
+  for (int shift = 0; shift < 32; shift += 8) {
+    bytes.push_back(static_cast<char>((declared >> shift) & 0xFF));
+  }
+  bytes.append(present, '\x01');
+  return bytes;
+}
+
+TEST(ModelSerializationTest, FullSupportBlockLoadsLikeEmptyBlock) {
+  const CrfModel model = RandomModel(3, 4, 91);
+  std::stringstream empty_block;
+  model.Save(empty_block);
+  std::stringstream full_block(WithSupportBlock(model, 9, 9));
+  const CrfModel a = CrfModel::Load(empty_block);
+  const CrfModel b = CrfModel::Load(full_block);
+  EXPECT_EQ(a.weights(), b.weights());
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    const CompiledSequence seq = RandomSequence(a, 7, 300 + seed);
+    const ViterbiResult da = Decode(a.ComputeScores(seq));
+    const ViterbiResult db = Decode(b.ComputeScores(seq));
+    EXPECT_EQ(da.labels, db.labels);
+    EXPECT_EQ(da.score, db.score);
+  }
+  // Re-saving drops the block: both load to the same bytes.
+  std::stringstream resaved_a;
+  std::stringstream resaved_b;
+  a.Save(resaved_a);
+  b.Save(resaved_b);
+  EXPECT_EQ(resaved_a.str(), resaved_b.str());
 }
 
 TEST(ModelSerializationTest, RejectsWrongSizeSupport) {
-  CrfModel model = RandomModel(3, 4, 92);
-  EXPECT_THROW(model.set_transition_support(std::vector<uint8_t>(5, 1)),
-               std::invalid_argument);
-  model.set_transition_support({});  // empty = unknown, always accepted
-  EXPECT_EQ(model.transition_support_mask(), nullptr);
+  const CrfModel model = RandomModel(3, 4, 92);
+  // Only 0 and L*L = 9 are valid; the block is present in full each time
+  // (except for the huge claim), so only the size check can reject it.
+  for (const uint32_t declared : {1u, 5u, 8u, 10u, 81u}) {
+    std::stringstream ss(WithSupportBlock(model, declared, declared));
+    EXPECT_THROW(CrfModel::Load(ss), std::runtime_error)
+        << "declared=" << declared;
+  }
+  std::stringstream huge(WithSupportBlock(model, 0xFFFFFFFFu, 16));
+  EXPECT_THROW(CrfModel::Load(huge), std::runtime_error);
+}
+
+TEST(ModelSerializationTest, RejectsTruncatedSupport) {
+  const CrfModel model = RandomModel(3, 4, 94);
+  for (const size_t present : {size_t{0}, size_t{1}, size_t{8}}) {
+    std::stringstream ss(WithSupportBlock(model, 9, present));
+    EXPECT_THROW(CrfModel::Load(ss), std::runtime_error)
+        << "present=" << present;
+  }
 }
 
 TEST(ModelSerializationTest, LoadsVersion1StreamsWithoutSupport) {
   // A v1 stream is a v2 stream with the version field rewound and the
-  // trailing support block (u32 size + bytes) cut off.
-  CrfModel model = RandomModel(4, 7, 93);
-  std::vector<uint8_t> support(16, 1);
-  model.set_transition_support(support);
+  // trailing support block (an empty one: a u32 size of 0) cut off.
+  const CrfModel model = RandomModel(4, 7, 93);
   std::stringstream ss;
   model.Save(ss);
   std::string bytes = ss.str();
   bytes[4] = 1;  // version u32 (little-endian) follows the 4-byte magic
-  bytes.resize(bytes.size() - (4 + support.size()));
+  bytes.resize(bytes.size() - 4);
   std::stringstream v1(bytes);
   const CrfModel loaded = CrfModel::Load(v1);
-  EXPECT_TRUE(loaded.transition_support().empty());
-  EXPECT_EQ(loaded.transition_support_mask(), nullptr);
   EXPECT_EQ(loaded.weights(), model.weights());
 }
-
-class DecodeBeamTest
-    : public ::testing::TestWithParam<std::tuple<int, int, uint64_t>> {};
-
-TEST_P(DecodeBeamTest, ExactWhenBeamCoversAllLabels) {
-  const auto [num_labels, length, seed] = GetParam();
-  CrfModel model = RandomModel(num_labels, 5, seed);
-  const CompiledSequence seq = RandomSequence(model, length, seed + 21);
-  const auto scores = model.ComputeScores(seq);
-  const ViterbiResult exact = Decode(scores);
-  for (int width : {num_labels, num_labels + 3}) {
-    const ViterbiResult beam = DecodeBeam(scores, width);
-    EXPECT_EQ(beam.labels, exact.labels) << "width=" << width;
-    // Bit-identical, not just close: the beam performs Decode's additions
-    // and comparisons in Decode's order when it covers every label.
-    EXPECT_EQ(beam.score, exact.score) << "width=" << width;
-  }
-}
-
-TEST_P(DecodeBeamTest, NarrowBeamReturnsConsistentPath) {
-  const auto [num_labels, length, seed] = GetParam();
-  CrfModel model = RandomModel(num_labels, 5, seed);
-  const CompiledSequence seq = RandomSequence(model, length, seed + 22);
-  const auto scores = model.ComputeScores(seq);
-  const ViterbiResult exact = Decode(scores);
-  for (int width = 1; width <= num_labels; ++width) {
-    const ViterbiResult beam = DecodeBeam(scores, width);
-    ASSERT_EQ(beam.labels.size(), static_cast<size_t>(length));
-    // The reported score is the actual score of the returned path...
-    double rescore = 0.0;
-    for (int t = 0; t < length; ++t) {
-      rescore += scores.unary[static_cast<size_t>(t) * num_labels +
-                              beam.labels[static_cast<size_t>(t)]];
-      if (t >= 1) {
-        rescore += scores.PairRow(t)[beam.labels[static_cast<size_t>(t - 1)] *
-                                         num_labels +
-                                     beam.labels[static_cast<size_t>(t)]];
-      }
-    }
-    EXPECT_NEAR(beam.score, rescore, 1e-9) << "width=" << width;
-    // ...and pruning can only lose score, never gain it.
-    EXPECT_LE(beam.score, exact.score + 1e-9) << "width=" << width;
-  }
-}
-
-TEST_P(DecodeBeamTest, FullSupportMaskChangesNothing) {
-  const auto [num_labels, length, seed] = GetParam();
-  CrfModel model = RandomModel(num_labels, 5, seed);
-  const CompiledSequence seq = RandomSequence(model, length, seed + 23);
-  const auto scores = model.ComputeScores(seq);
-  const std::vector<uint8_t> all(
-      static_cast<size_t>(num_labels) * num_labels, 1);
-  const ViterbiResult exact = Decode(scores);
-  const ViterbiResult beam = DecodeBeam(scores, num_labels, all.data());
-  EXPECT_EQ(beam.labels, exact.labels);
-  EXPECT_EQ(beam.score, exact.score);
-}
-
-TEST_P(DecodeBeamTest, EmptySupportRowFallsBackToUnprunedBeam) {
-  const auto [num_labels, length, seed] = GetParam();
-  if (length < 2) return;
-  CrfModel model = RandomModel(num_labels, 5, seed);
-  const CompiledSequence seq = RandomSequence(model, length, seed + 24);
-  const auto scores = model.ComputeScores(seq);
-  // No supported predecessor for ANY label: every row must fall back, so
-  // the result matches the unpruned beam exactly.
-  const std::vector<uint8_t> none(
-      static_cast<size_t>(num_labels) * num_labels, 0);
-  const ViterbiResult pruned = DecodeBeam(scores, num_labels, none.data());
-  const ViterbiResult open = DecodeBeam(scores, num_labels);
-  EXPECT_EQ(pruned.labels, open.labels);
-  EXPECT_EQ(pruned.score, open.score);
-}
-
-TEST(DecodeBeamTest, RejectsDegenerateArguments) {
-  CrfModel model = RandomModel(3, 3, 8);
-  const CompiledSequence seq = RandomSequence(model, 4, 9);
-  const auto scores = model.ComputeScores(seq);
-  EXPECT_THROW(DecodeBeam(scores, 0), std::invalid_argument);
-  const CrfModel::Scores empty{};
-  EXPECT_THROW(DecodeBeam(empty, 2), std::invalid_argument);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SmallModels, DecodeBeamTest,
-    ::testing::Values(std::make_tuple(2, 1, 7u), std::make_tuple(2, 5, 11u),
-                      std::make_tuple(3, 4, 13u), std::make_tuple(4, 8, 17u),
-                      std::make_tuple(6, 12, 19u),
-                      std::make_tuple(12, 9, 23u)));
 
 TEST(InferenceEdgeCases, SingleLineSequence) {
   CrfModel model = RandomModel(3, 3, 5);

@@ -1,4 +1,7 @@
 // JSON writer and WHOIS record export (plain + RDAP-flavored).
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/json.h"
@@ -31,6 +34,56 @@ TEST(JsonWriterTest, EscapesSpecialCharacters) {
   EXPECT_EQ(util::JsonWriter::Escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
   EXPECT_EQ(util::JsonWriter::Escape(std::string(1, '\x01')), "\\u0001");
   EXPECT_EQ(util::JsonWriter::Escape("plain"), "plain");
+}
+
+// U+FFFD REPLACEMENT CHARACTER, as UTF-8.
+constexpr const char* kFffd = "\xEF\xBF\xBD";
+
+std::string Fffd(int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += kFffd;
+  return out;
+}
+
+TEST(JsonWriterTest, ReplacesLatin1ByteWithReplacementCharacter) {
+  // A Latin-1 record: 0xFC is u-umlaut there but never valid UTF-8.
+  util::JsonWriter json;
+  json.BeginObject().Field("city", "M\xfcnchen").EndObject();
+  EXPECT_EQ(json.str(), std::string("{\"city\":\"M") + kFffd + "nchen\"}");
+}
+
+TEST(JsonWriterTest, CopiesWellFormedUtf8Verbatim) {
+  for (const std::string s :
+       {"M\xc3\xbcnchen", "\xe5\xbc\xa0\xe4\xbc\x9f", "\xf0\x9f\x98\x80!",
+        "\xc2\x80\xdf\xbf", "\xe0\xa0\x80\xed\x9f\xbf\xef\xbf\xbf",
+        "\xf0\x90\x80\x80\xf4\x8f\xbf\xbf"}) {
+    EXPECT_EQ(util::JsonWriter::Escape(s), s);
+  }
+  // Escapes still apply around multi-byte sequences.
+  EXPECT_EQ(util::JsonWriter::Escape("\"\xc3\xa9\"\n"), "\\\"\xc3\xa9\\\"\\n");
+}
+
+TEST(JsonWriterTest, ReplacesEachInvalidUtf8Class) {
+  struct Case {
+    const char* name;
+    std::string in;
+    std::string want;
+  };
+  const std::vector<Case> cases = {
+      {"stray continuation", "a\x80" "b", "a" + Fffd(1) + "b"},
+      {"invalid lead bytes", "\xc0\xc1\xf5\xff", Fffd(4)},
+      {"overlong 2-byte", "\xc0\xaf", Fffd(2)},
+      {"overlong 3-byte", "\xe0\x80\xaf", Fffd(3)},
+      {"overlong 4-byte", "\xf0\x80\x80\xaf", Fffd(4)},
+      {"surrogate", "\xed\xa0\x80", Fffd(3)},
+      {"above U+10FFFF", "\xf4\x90\x80\x80", Fffd(4)},
+      {"truncated tail", "ok\xe2\x82", "ok" + Fffd(1)},
+      {"truncated 4-byte tail", "\xf0\x9f\x98", Fffd(1)},
+      {"interrupted sequence", "\xe2\x82" "A", Fffd(1) + "A"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(util::JsonWriter::Escape(c.in), c.want) << c.name;
+  }
 }
 
 TEST(JsonWriterTest, DoubleFormatting) {

@@ -204,6 +204,60 @@ TEST(ExporterTest, PrometheusLabelsGolden) {
   EXPECT_EQ(reg.RenderPrometheus(), expected);
 }
 
+// Reads back one label value of the text exposition format, undoing its
+// three escapes. Returns false on a malformed escape or a missing quote.
+bool UnescapeLabelValue(std::string_view body, size_t& pos,
+                        std::string& out) {
+  out.clear();
+  while (pos < body.size()) {
+    const char c = body[pos++];
+    if (c == '"') return true;
+    if (c == '\n') return false;  // a raw newline would end the sample line
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    if (pos == body.size()) return false;
+    switch (body[pos++]) {
+      case '\\': out += '\\'; break;
+      case '"': out += '"'; break;
+      case 'n': out += '\n'; break;
+      default: return false;
+    }
+  }
+  return false;
+}
+
+TEST(ExporterTest, PrometheusLabelValuesAreEscapedAndRoundTrip) {
+  // The cascade labels shadow metrics with the registrar string parsed out
+  // of a record, so a label value can hold anything a record can.
+  const std::string registrar = "Evil \"Quoted\" Registrar\\Inc\nLine2";
+  Registry reg;
+  reg.GetCounter("whoiscrf_cascade_shadow_samples_total", "",
+                 {{"registrar", registrar}})
+      ->Inc(3);
+  const std::string text = reg.RenderPrometheus();
+  const std::string prefix = "whoiscrf_cascade_shadow_samples_total{";
+  const size_t start = text.find('\n' + prefix);
+  ASSERT_NE(start, std::string::npos) << text;
+  const size_t line_end = text.find('\n', start + 1);
+  ASSERT_NE(line_end, std::string::npos);
+  const std::string line = text.substr(start + 1, line_end - start - 1);
+  // One physical line per sample, ending in the value.
+  EXPECT_EQ(line, prefix +
+                      "registrar=\"Evil \\\"Quoted\\\" "
+                      "Registrar\\\\Inc\\nLine2\"} 3");
+  size_t pos = prefix.size() + std::string("registrar=\"").size();
+  std::string decoded;
+  ASSERT_TRUE(UnescapeLabelValue(line, pos, decoded)) << line;
+  EXPECT_EQ(decoded, registrar);
+  EXPECT_EQ(line.substr(pos), "} 3");
+  // The instance is still found by its raw (unescaped) label value.
+  EXPECT_EQ(reg.CounterValue("whoiscrf_cascade_shadow_samples_total",
+                             {{"registrar", registrar}}),
+            3u);
+}
+
 TEST(ExporterTest, JsonGolden) {
   Registry reg;
   reg.GetCounter("test_count")->Inc(7);

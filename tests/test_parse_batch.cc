@@ -146,74 +146,6 @@ TEST_F(ParseBatchTest, BatchMatchesSequentialAcrossThreadCounts) {
   }
 }
 
-TEST_F(ParseBatchTest, BeamParseAgreesWithExactDecoding) {
-  // A beam covering every label still prunes to the transition support
-  // recorded at training; on in-distribution records the exact path should
-  // almost never leave that support, so labels agree near-perfectly — and
-  // the reported log_prob can only drop (log Z stays exact, the path score
-  // cannot beat the unconstrained argmax).
-  ParseWorkspace exact_ws;
-  ParseWorkspace beam_ws;
-  beam_ws.beam_width = parser_->level1_model().num_labels() +
-                       parser_->level2_model().num_labels();
-  size_t agree = 0;
-  size_t total = 0;
-  for (const std::string& text : CorpusTexts(900, 40)) {
-    const ParsedWhois exact = parser_->Parse(text, exact_ws);
-    const ParsedWhois beam = parser_->Parse(text, beam_ws);
-    ASSERT_EQ(beam.line_labels.size(), exact.line_labels.size());
-    for (size_t t = 0; t < exact.line_labels.size(); ++t) {
-      ++total;
-      if (beam.line_labels[t] == exact.line_labels[t]) ++agree;
-    }
-    EXPECT_LE(beam.log_prob, exact.log_prob + 1e-9);
-  }
-  EXPECT_GT(static_cast<double>(agree) / static_cast<double>(total), 0.99)
-      << agree << "/" << total;
-}
-
-TEST_F(ParseBatchTest, BeamParseBatchMatchesSequentialBeamParse) {
-  const std::vector<std::string> records = CorpusTexts(960, 30);
-  const int beam_width = 3;
-  std::vector<ParsedWhois> sequential;
-  sequential.reserve(records.size());
-  ParseWorkspace ws;
-  ws.beam_width = beam_width;
-  for (const std::string& r : records) {
-    sequential.push_back(parser_->Parse(r, ws));
-  }
-  util::ThreadPool pool(4);
-  const auto batch = parser_->ParseBatch(records, pool, beam_width);
-  ASSERT_EQ(batch.size(), sequential.size());
-  for (size_t r = 0; r < batch.size(); ++r) {
-    EXPECT_EQ(ToJson(batch[r]), ToJson(sequential[r])) << "record " << r;
-    EXPECT_EQ(batch[r].log_prob, sequential[r].log_prob) << "record " << r;
-  }
-}
-
-TEST_F(ParseBatchTest, TrainedModelsCarryTransitionSupport) {
-  // Trainer records observed label bigrams; a trained parser's models must
-  // expose a well-formed support mask in which self-transitions of labels
-  // that occur in the data are present.
-  for (const crf::CrfModel* model :
-       {&parser_->level1_model(), &parser_->level2_model()}) {
-    const size_t L = static_cast<size_t>(model->num_labels());
-    ASSERT_EQ(model->transition_support().size(), L * L);
-    size_t supported = 0;
-    for (uint8_t bit : model->transition_support()) supported += bit;
-    EXPECT_GT(supported, 0u);
-    EXPECT_LE(supported, L * L);
-  }
-  // And it survives parser save/load (model format v2).
-  std::stringstream ss;
-  parser_->Save(ss);
-  const WhoisParser loaded = WhoisParser::Load(ss);
-  EXPECT_EQ(loaded.level1_model().transition_support(),
-            parser_->level1_model().transition_support());
-  EXPECT_EQ(loaded.level2_model().transition_support(),
-            parser_->level2_model().transition_support());
-}
-
 TEST_F(ParseBatchTest, ParseBatchHandlesEmptyAndDegenerateRecords) {
   util::ThreadPool pool(2);
   EXPECT_TRUE(parser_->ParseBatch({}, pool).empty());

@@ -2,7 +2,12 @@
 // arbitrary, hostile, or malformed input without crashing — WHOIS servers
 // return garbage in the wild (truncation, binary noise, absurd line
 // lengths), and a production parser sees all of it.
+#include <cctype>
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -120,6 +125,100 @@ TEST_F(RobustnessTest, TruncatedRealRecords) {
 TEST_F(RobustnessTest, MixedLineEndingsAndUnicode) {
   ParseEverything("Domain Name: X.COM\r\nRegistrant Name: Jörg Müller\rEmail: j@x.de\n");
   ParseEverything("Registrant Name: \xE5\xBC\xA0\xE4\xBC\x9F\n");  // UTF-8 CJK
+}
+
+// Lexical RFC 8259 check of one exported body: well-formed UTF-8 (decoded
+// by code-point ranges: no overlong forms, surrogates or values above
+// U+10FFFF), no raw control bytes or unknown escapes inside strings,
+// balanced brackets, and nothing outside strings but structure, numbers
+// and literals.
+bool IsValidUtf8Json(std::string_view s) {
+  std::string open;  // unclosed '{' / '['
+  bool in_string = false;
+  for (size_t i = 0; i < s.size();) {
+    const auto c = static_cast<unsigned char>(s[i++]);
+    if (c >= 0x80) {
+      const size_t len = c >= 0xF0 ? 4 : c >= 0xE0 ? 3 : c >= 0xC0 ? 2 : 0;
+      if (!in_string || len == 0 || i - 1 + len > s.size()) return false;
+      uint32_t cp = c & (0x7F >> len);
+      for (size_t k = 1; k < len; ++k, ++i) {
+        const auto b = static_cast<unsigned char>(s[i]);
+        if ((b & 0xC0) != 0x80) return false;
+        cp = (cp << 6) | (b & 0x3F);
+      }
+      const uint32_t min_cp[] = {0, 0, 0x80, 0x800, 0x10000};
+      if (cp < min_cp[len] || cp > 0x10FFFF) return false;
+      if (cp >= 0xD800 && cp <= 0xDFFF) return false;
+    } else if (in_string) {
+      if (c < 0x20) return false;
+      if (c == '"') in_string = false;
+      if (c != '\\') continue;
+      if (i >= s.size()) return false;
+      const char e = s[i++];
+      if (e == 'u') {
+        for (int k = 0; k < 4; ++k, ++i) {
+          if (i >= s.size()) return false;
+          if (!std::isxdigit(static_cast<unsigned char>(s[i]))) return false;
+        }
+      } else if (e == '\0' || std::strchr("\"\\/bfnrt", e) == nullptr) {
+        return false;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      open += static_cast<char>(c);
+    } else if (c == '}' || c == ']') {
+      if (open.empty() || open.back() != (c == '}' ? '{' : '[')) return false;
+      open.pop_back();
+    } else if (c == '\0' ||
+               std::strchr(",:-+.eE0123456789truefalsn", c) == nullptr) {
+      return false;
+    }
+  }
+  return !in_string && open.empty();
+}
+
+TEST_F(RobustnessTest, JsonOfMutatedRecordsIsValidUtf8Json) {
+  // Property: whatever bytes a record holds, every JSON body the parser's
+  // export emits is valid UTF-8 and valid JSON. Mutations put high bytes,
+  // cut multi-byte sequences, control bytes and quotes into generated
+  // records, mostly inside values so they reach the extracted fields.
+  datagen::CorpusOptions options;
+  options.size = 40;
+  options.seed = 557;
+  datagen::CorpusGenerator generator(options);
+  util::Rng rng(2026);
+  const std::vector<std::string> inserts = {
+      "\xc3\xbc", "\xe2\x82\xac", "\xf0\x9f\x98\x80", "\xfc", "\xc0\xaf",
+      "\xed\xa0\x80", "\xf4\x90\x80\x80", "\xe2\x82", "\x80", "\"", "\\",
+      "\x01", "\t"};
+  // Plus a Latin-1 record, whose 0xF6/0xFC bytes are never valid UTF-8.
+  std::vector<std::string> records = {
+      "Domain Name: EXAMPLE.DE\nRegistrant Name: J\xf6rg M\xfcller\n"
+      "Registrant City: M\xfcnchen\nRegistrant Country: DE\n"};
+  for (size_t i = 0; i < 40; ++i) {
+    std::string record = generator.Generate(i).thick.text;
+    const int mutations = static_cast<int>(rng.UniformInt(1, 12));
+    for (int m = 0; m < mutations; ++m) {
+      const size_t at = rng.UniformInt(0, record.size());
+      if (rng.Bernoulli(0.3) && at < record.size()) {
+        record[at] = static_cast<char>(rng.UniformInt(0x80, 0xFF));
+      } else {
+        record.insert(at, inserts[rng.UniformInt(0, inserts.size() - 1)]);
+      }
+    }
+    records.push_back(std::move(record));
+  }
+  for (size_t i = 0; i < records.size(); ++i) {
+    const whois::ParsedWhois parsed = parser_->Parse(records[i]);
+    for (const std::string& body :
+         {whois::ToJson(parsed), whois::ToRdapJson(parsed)}) {
+      EXPECT_TRUE(IsValidUtf8Json(body)) << "record " << i << ": " << body;
+    }
+  }
+  // The Latin-1 city reaches the output, as U+FFFD.
+  const std::string latin1 = whois::ToJson(parser_->Parse(records[0]));
+  EXPECT_NE(latin1.find("M\xef\xbf\xbdnchen"), std::string::npos) << latin1;
 }
 
 TEST_F(RobustnessTest, PosteriorDecodingAgreesOnConfidentInput) {

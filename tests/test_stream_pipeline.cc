@@ -25,7 +25,6 @@
 #include "survey/build.h"
 #include "util/bounded_queue.h"
 #include "util/checkpoint.h"
-#include "util/byte_scan.h"
 #include "util/chunk_reader.h"
 #include "util/thread_pool.h"
 #include "whois/json_export.h"
@@ -57,21 +56,11 @@ TEST(RecordStreamTest, FramingIsChunkSizeInvariant) {
       "Domain Name: C.COM\nRegistrar: Three\n",
   };
   // Chunk size 1 puts a boundary at every byte, so every straddle case —
-  // including "\r|\n" — is exercised; larger sizes cover interior fast
-  // paths. Swept under every byte-scan tier this build supports: the
-  // chunked newline kernels (util/byte_scan.h) must frame identically
-  // whether they step one byte, 8 (SWAR), or 16/32 (SIMD) at a time.
-  for (const util::scan::Mode mode :
-       {util::scan::Mode::kScalar, util::scan::BestSupportedMode()}) {
-    util::scan::ForceMode(mode);
-    for (size_t chunk : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
-                         size_t{64}, size_t{1} << 20}) {
-      EXPECT_EQ(ScanAll(text, chunk), expected)
-          << "chunk=" << chunk
-          << " scan=" << util::scan::ModeName(util::scan::ActiveMode());
-    }
+  // including "\r|\n" — is exercised; larger sizes cover interior paths.
+  for (size_t chunk : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                       size_t{64}, size_t{1} << 20}) {
+    EXPECT_EQ(ScanAll(text, chunk), expected) << "chunk=" << chunk;
   }
-  util::scan::ClearForcedMode();
 }
 
 TEST(RecordStreamTest, MissingTrailingSeparatorEmitsUnterminatedRecord) {
