@@ -1,11 +1,15 @@
 // Parsing throughput: records/sec of the inference fast path, single- and
 // multi-threaded, against the pre-workspace naive Parse loop measured in
-// the same run. Writes BENCH_parse_throughput.json (override the path with
-// WHOISCRF_BENCH_OUT) so the perf trajectory is tracked across PRs.
+// the same run, plus the process's peak RSS (which the per-thread parse
+// workspaces dominate). Writes BENCH_parse_throughput.json (override the
+// path with WHOISCRF_BENCH_OUT) so the perf trajectory is tracked across
+// PRs.
 //
 // The ROADMAP north star is census-scale parsing (the paper's survey runs
 // over 102M .com records), so this bench is the scoreboard every inference
 // change should move — or at least not regress.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -28,6 +32,15 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+// Process-lifetime high-water mark, KiB (Linux ru_maxrss unit). Every
+// mode's workspaces are alive at some point, so this bounds what the
+// parse caches cost per thread.
+long PeakRssKb() {
+  struct rusage ru = {};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
 }
 
 // Folds a parse into a checksum so the optimizer cannot drop the work.
@@ -176,6 +189,9 @@ int Main() {
   if (!checksums_match) {
     std::printf("\nWARNING: mode checksums differ from naive\n");
   }
+  const long peak_rss_kb = PeakRssKb();
+  std::printf("\npeak RSS: %.1f MiB\n",
+              static_cast<double>(peak_rss_kb) / 1024.0);
 
   const char* out_env = std::getenv("WHOISCRF_BENCH_OUT");
   const std::string out_path =
@@ -191,6 +207,7 @@ int Main() {
   os << "  \"fast_vs_naive_speedup\": " << speedup << ",\n";
   os << "  \"checksums_match\": " << (checksums_match ? "true" : "false")
      << ",\n";
+  os << "  \"peak_rss_kb\": " << peak_rss_kb << ",\n";
   os << "  \"batch\": [\n";
   for (size_t i = 0; i < thread_counts.size(); ++i) {
     os << "    {\"threads\": " << thread_counts[i]

@@ -14,8 +14,10 @@ double LogSumExp(const double* v, int n) {
     if (v[i] > max) max = v[i];
   }
   if (!std::isfinite(max)) return max;  // all -inf
+  // A term equal to max contributes exp(0), which IEC 60559 defines as
+  // exactly 1: adding 1.0 instead skips the call without changing a bit.
   double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += std::exp(v[i] - max);
+  for (int i = 0; i < n; ++i) sum += v[i] == max ? 1.0 : std::exp(v[i] - max);
   return max + std::log(sum);
 }
 

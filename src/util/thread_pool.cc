@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 
 namespace whoiscrf::util {
@@ -51,7 +50,11 @@ void ThreadPool::ParallelChunks(
     size_t n, const std::function<void(size_t, size_t, size_t)>& fn) {
   if (n == 0) return;
   const size_t chunks = std::min(n, workers_.size());
-  std::atomic<size_t> remaining{chunks};
+  // Everything below lives on this frame. `remaining` is only touched
+  // under done_mu, so the last chunk's unlock is its final access: were
+  // the count decremented outside the lock, this call could see zero,
+  // return and free done_mu while that chunk was still about to lock it.
+  size_t remaining = chunks;
   std::exception_ptr error;
   std::mutex error_mu;
   std::mutex done_mu;
@@ -70,16 +73,14 @@ void ThreadPool::ParallelChunks(
         std::lock_guard<std::mutex> lock(error_mu);
         if (!error) error = std::current_exception();
       }
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(done_mu);
+      if (--remaining == 0) done_cv.notify_all();
     });
     begin = end;
   }
 
   std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (error) std::rethrow_exception(error);
 }
 

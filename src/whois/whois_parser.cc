@@ -114,16 +114,47 @@ void LineCacheKey(const text::Line& line, std::string& key) {
 }
 
 // Slot count of the direct-mapped line cache (power of two; the probe
-// masks the key hash). Sized well above the few thousand distinct lines a
-// registrar template corpus produces, so conflict evictions of hot lines
-// are rare; total memory stays bounded at slots x working line size.
-constexpr size_t kLineCacheSlots = 1 << 15;
+// masks the key hash). Only recurring lines are admitted (Doorkeeper), and
+// a registrar template corpus has a few thousand of those, so conflict
+// evictions of hot lines are rare; total memory stays bounded at slots x
+// working line size.
+constexpr size_t kLineCacheSlots = 1 << 13;
 
 // Slot count of the direct-mapped word cache (power of two). WHOIS word
 // vocabulary is Zipfian; hot words re-enter immediately after a conflict
 // eviction, and replay copies everything out during the probe, so no
 // pinning is needed.
-constexpr size_t kWordCacheSlots = 1 << 15;
+constexpr size_t kWordCacheSlots = 1 << 13;
+
+// 64-bit hash of a cache or attr-table key, inlined into every probe (no
+// out-of-line std::hash call): 8-byte little-endian words folded with
+// multiply-xorshift rounds. The low bits index the direct-mapped caches
+// and the attr table, the top bits the doorkeeper.
+inline uint64_t KeyHash(std::string_view s) {
+  constexpr uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  uint64_t h = s.size() * kMul;
+  const char* p = s.data();
+  size_t n = s.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    h = (h ^ w) * kMul;
+    h ^= h >> 32;
+  }
+  uint64_t tail = 0;
+  if (n > 0 && s.size() >= 8) {
+    std::memcpy(&tail, s.data() + s.size() - 8, 8);  // overlapping last word
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      tail |= static_cast<uint64_t>(static_cast<unsigned char>(p[i]))
+              << (8 * i);
+    }
+  }
+  h = (h ^ tail) * kMul;
+  h ^= h >> 32;
+  h *= kMul;
+  return h ^ (h >> 29);
+}
 
 }  // namespace
 
@@ -134,20 +165,25 @@ namespace {
 // what one InternSink per model would (same ids in the same order, same
 // first-occurrence dedup, same trans_slots), because the table is the
 // merge of both vocabularies and slot maps.
-template <typename AttrMap>
+// (A template only so it can name the parser's private AttrSlot type.)
+template <typename AttrSlot>
 class DualInternSink final : public text::AttrSink {
  public:
-  // `packed` is the parser's merged unary table (L1+L2 doubles per
-  // attribute): Add() folds the unary score of every accepted attribute
-  // into the line's accumulators as it interns, in the exact order
-  // CrfModel::UnaryScores would have summed them — which makes a separate
-  // scoring pass over the compiled items redundant, and streams one
-  // cache-dense row per attribute instead of gathering from two weight
-  // arrays.
-  DualInternSink(const AttrMap& map, std::vector<WordSlot>& words,
+  // `attrs`/`names` are the parser's flat attr table. `packed` is the
+  // parser's merged unary table (L1+L2 doubles per attribute): Add() folds
+  // the unary score of every accepted attribute into the line's
+  // accumulators as it interns, in the exact order CrfModel::UnaryScores
+  // would have summed them — which makes a separate scoring pass over the
+  // compiled items redundant, and streams one cache-dense row per
+  // attribute instead of gathering from two weight arrays.
+  DualInternSink(const std::vector<AttrSlot>& attrs, const std::string& names,
+                 std::vector<WordSlot>& words, Doorkeeper& doorkeeper,
                  const double* packed, size_t num_labels1, size_t num_labels2)
-      : map_(map),
+      : attrs_(attrs.data()),
+        attr_mask_(attrs.size() - 1),
+        names_(names.data()),
         words_(words.data()),
+        doorkeeper_(doorkeeper),
         packed_(packed),
         L1_(num_labels1),
         L2_(num_labels2) {}
@@ -169,15 +205,16 @@ class DualInternSink final : public text::AttrSink {
   // Word memoization (see AttrSink::OnWord). On a hit, replays the word's
   // interned attributes directly — Add() re-runs first-occurrence dedup
   // against the current items, so a replay composes with whatever the line
-  // emitted before it exactly like a live emission would. On a miss,
-  // records the OnAttr stream until EndWord.
+  // emitted before it exactly like a live emission would. On a miss of a
+  // word the doorkeeper has seen before, records the OnAttr stream until
+  // EndWord; a first sighting is interned without being recorded.
   int OnWord(std::string_view raw_word, bool title, bool transition) override {
     rec_mapped_ = -1;
     if (raw_word.size() + 1 > WordSlot::kKeyMax) return -1;  // uncacheable
     key_[0] = title ? 'T' : 'V';
     std::memcpy(key_ + 1, raw_word.data(), raw_word.size());
     key_len_ = static_cast<uint8_t>(raw_word.size() + 1);
-    hash_ = TransparentStringHash{}(std::string_view(key_, key_len_));
+    hash_ = KeyHash(std::string_view(key_, key_len_));
     slot_ = &words_[hash_ & (kWordCacheSlots - 1)];
     if (slot_->hash == hash_ && slot_->len == key_len_ &&
         std::memcmp(slot_->key, key_, key_len_) == 0) {
@@ -194,6 +231,7 @@ class DualInternSink final : public text::AttrSink {
       }
       return slot_->emit_count;
     }
+    if (!doorkeeper_.SeenBefore(hash_)) return -1;
     rec_mapped_ = 0;
     rec_emit_ = 0;
     return -1;
@@ -214,31 +252,48 @@ class DualInternSink final : public text::AttrSink {
   }
 
   void OnAttr(std::string_view attr, bool transition) override {
-    const auto it = map_.find(attr);
+    const AttrSlot* found = Find(attr);
+    const auto* d = found != nullptr ? &found->attr : nullptr;
     if (rec_mapped_ >= 0) {
       // The first emission inside a word window is the word attribute.
       const bool is_word = rec_emit_ == 0;
       ++rec_emit_;
-      if (it != map_.end()) {
-        const auto& d = it->second;
+      if (d != nullptr) {
         if (rec_mapped_ < static_cast<int>(WordSlot::kMappedMax)) {
-          rec_staging_[rec_mapped_++] = {d.id1,    d.slot1, d.id2,
-                                         d.slot2,  d.packed, is_word};
+          rec_staging_[rec_mapped_++] = {d->id1,   d->slot1,  d->id2,
+                                         d->slot2, d->packed, is_word};
         } else {
           rec_mapped_ = -1;  // too many attrs to memoize; leave slot as-is
         }
       }
     }
-    if (it == map_.end()) return;
-    const auto& d = it->second;
-    const double* row = packed_ + d.packed;
-    if (d.id1 >= 0) Add(*item1_, d.id1, d.slot1, transition, row, L1_, unary1_);
-    if (d.id2 >= 0) {
-      Add(*item2_, d.id2, d.slot2, transition, row + L1_, L2_, unary2_);
+    if (d == nullptr) return;
+    const double* row = packed_ + d->packed;
+    if (d->id1 >= 0) {
+      Add(*item1_, d->id1, d->slot1, transition, row, L1_, unary1_);
+    }
+    if (d->id2 >= 0) {
+      Add(*item2_, d->id2, d->slot2, transition, row + L1_, L2_, unary2_);
     }
   }
 
  private:
+  // One probe of the flat attr table: linear probing from the hash's home
+  // slot until the attribute or a vacant slot (the table is at most half
+  // full, so every probe terminates).
+  const AttrSlot* Find(std::string_view attr) const {
+    const uint64_t h = KeyHash(attr);
+    for (size_t i = h & attr_mask_;; i = (i + 1) & attr_mask_) {
+      const AttrSlot& slot = attrs_[i];
+      if (slot.attr.packed < 0) return nullptr;
+      if (slot.hash == h && slot.name_size == attr.size() &&
+          std::memcmp(names_ + slot.name_offset, attr.data(), attr.size()) ==
+              0) {
+        return &slot;
+      }
+    }
+  }
+
   static void Add(crf::CompiledItem& item, int id, int slot, bool transition,
                   const double* row, size_t L, double* unary) {
     for (int existing : item.attrs) {
@@ -249,8 +304,11 @@ class DualInternSink final : public text::AttrSink {
     for (size_t j = 0; j < L; ++j) unary[j] += row[j];
   }
 
-  const AttrMap& map_;
+  const AttrSlot* attrs_;
+  size_t attr_mask_;
+  const char* names_;
   WordSlot* words_;
+  Doorkeeper& doorkeeper_;
   const double* packed_;
   size_t L1_, L2_;
   crf::CompiledItem* item1_ = nullptr;
@@ -385,6 +443,35 @@ LineRoutePlan ComputeRoutePlan(const std::string& title,
   return plan;
 }
 
+// ComputeRoutePlan memoized per lowered title in `cache` (see
+// FieldRouteCache). Untitled lines route on the value (domain/URL shape),
+// so their plan is computed per line; they are the rare case in titled
+// formats.
+LineRoutePlan CachedRoutePlan(const std::string& title,
+                              const std::string& value,
+                              FieldRouteCache& cache) {
+  static const std::string kEmptyValue;
+  if (title.empty()) return ComputeRoutePlan(title, value);
+  auto it = cache.by_title.find(title);
+  if (it == cache.by_title.end()) {
+    if (cache.by_title.size() >= FieldRouteCache::kMaxTitles) {
+      cache.by_title.clear();
+    }
+    it = cache.by_title.emplace(title, ComputeRoutePlan(title, kEmptyValue))
+             .first;
+  }
+  LineRoutePlan plan = it->second;
+  // The one value-dependence a titled line has: a URL-shaped value wins
+  // the registrar route unless a stronger keyword already did (mirrors
+  // ComputeRoutePlan's chain, which tests IsUrl before the registrar-name
+  // keywords).
+  if (plan.registrar != kRegWhoisServer && plan.registrar != kRegUrl &&
+      text::IsUrl(value)) {
+    plan.registrar = kRegUrl;
+  }
+  return plan;
+}
+
 // Routes one line's value into the ParsedWhois given its level-1 label and
 // pre-resolved plan; the two indices walk the level-2 label vectors.
 // Single source of truth for both ExtractFields (which computes the plan
@@ -482,36 +569,13 @@ void ExtractFieldsCached(const std::vector<text::Line>& lines,
                          const std::vector<Level2Label>& registrant_sub_labels,
                          ParsedWhois& out, FieldRouteCache& cache) {
   static const std::vector<Level2Label> kNoOtherSubs;
-  static const std::string kEmptyValue;
   size_t registrant_index = 0;
   size_t other_index = 0;
   for (size_t i = 0; i < lines.size(); ++i) {
     SplitTitleValueInto(lines[i], cache.title, cache.value);
-    LineRoutePlan plan;
-    if (cache.title.empty()) {
-      // Untitled lines route on the value (domain/URL shape), so the plan
-      // is per-line; these are the rare case in titled formats.
-      plan = ComputeRoutePlan(cache.title, cache.value);
-    } else {
-      auto it = cache.by_title.find(cache.title);
-      if (it == cache.by_title.end()) {
-        it = cache.by_title
-                 .emplace(cache.title,
-                          ComputeRoutePlan(cache.title, kEmptyValue))
-                 .first;
-      }
-      plan = it->second;
-      // The one value-dependence a titled line has: a URL-shaped value
-      // wins the registrar route unless a stronger keyword already did
-      // (mirrors ComputeRoutePlan's chain, which tests IsUrl before the
-      // registrar-name keywords).
-      if (plan.registrar != kRegWhoisServer && plan.registrar != kRegUrl &&
-          text::IsUrl(cache.value)) {
-        plan.registrar = kRegUrl;
-      }
-    }
-    RouteLine(plan, cache.value, labels[i], registrant_sub_labels,
-              registrant_index, kNoOtherSubs, other_index, out);
+    RouteLine(CachedRoutePlan(cache.title, cache.value, cache), cache.value,
+              labels[i], registrant_sub_labels, registrant_index,
+              kNoOtherSubs, other_index, out);
   }
 }
 
@@ -526,10 +590,37 @@ WhoisParser::WhoisParser(std::unique_ptr<crf::CrfModel> level1,
   // Merge the two vocabularies into the single-probe attr table. Interning
   // through it is equivalent to probing each model's vocabulary and slot
   // map separately, by construction.
-  const auto merge = [this](const crf::CrfModel& model, bool second) {
+  const size_t L1 = static_cast<size_t>(level1_->num_labels());
+  const size_t L2 = static_cast<size_t>(level2_->num_labels());
+  size_t capacity = 16;
+  while (capacity < 2 * (level1_->vocab().size() + level2_->vocab().size())) {
+    capacity *= 2;
+  }
+  attr_slots_.assign(capacity, AttrSlot{});
+  size_t merged = 0;
+  const auto merge = [&](const crf::CrfModel& model, bool second) {
     const text::Vocabulary& vocab = model.vocab();
     for (int id = 0; id < static_cast<int>(vocab.size()); ++id) {
-      DualAttr& d = attr_map_[vocab.Name(id)];
+      const std::string& name = vocab.Name(id);
+      const uint64_t h = KeyHash(name);
+      size_t i = h & (capacity - 1);
+      for (;; i = (i + 1) & (capacity - 1)) {
+        AttrSlot& slot = attr_slots_[i];
+        if (slot.attr.packed < 0) {
+          // First sighting: claim the slot and this attribute's row in
+          // packed_unary_ (see the header).
+          slot.hash = h;
+          slot.name_offset = static_cast<uint32_t>(attr_names_.size());
+          slot.name_size = static_cast<uint32_t>(name.size());
+          attr_names_.append(name);
+          slot.attr.packed = static_cast<int32_t>(merged++ * (L1 + L2));
+          break;
+        }
+        const std::string_view stored(attr_names_.data() + slot.name_offset,
+                                      slot.name_size);
+        if (slot.hash == h && stored == name) break;
+      }
+      DualAttr& d = attr_slots_[i].attr;
       (second ? d.id2 : d.id1) = id;
       (second ? d.slot2 : d.slot1) = model.TransSlot(id);
     }
@@ -537,16 +628,14 @@ WhoisParser::WhoisParser(std::unique_ptr<crf::CrfModel> level1,
   merge(*level1_, false);
   merge(*level2_, true);
 
-  // Pack both levels' unary rows per merged attribute (see packed_unary_
-  // in the header). Weights are final once the parser is constructed, so
-  // the copies stay in sync with the models.
-  const size_t L1 = static_cast<size_t>(level1_->num_labels());
-  const size_t L2 = static_cast<size_t>(level2_->num_labels());
-  packed_unary_.assign(attr_map_.size() * (L1 + L2), 0.0);
-  int32_t packed_offset = 0;
-  for (auto& [name, d] : attr_map_) {
-    d.packed = packed_offset;
-    double* row = &packed_unary_[static_cast<size_t>(packed_offset)];
+  // Pack both levels' unary rows per merged attribute. Weights are final
+  // once the parser is constructed, so the copies stay in sync with the
+  // models.
+  packed_unary_.assign(merged * (L1 + L2), 0.0);
+  for (const AttrSlot& slot : attr_slots_) {
+    const DualAttr& d = slot.attr;
+    if (d.packed < 0) continue;
+    double* row = &packed_unary_[static_cast<size_t>(d.packed)];
     if (d.id1 >= 0) {
       std::memcpy(row, &level1_->weights()[static_cast<size_t>(d.id1) * L1],
                   L1 * sizeof(double));
@@ -556,7 +645,6 @@ WhoisParser::WhoisParser(std::unique_ptr<crf::CrfModel> level1,
                   &level2_->weights()[static_cast<size_t>(d.id2) * L2],
                   L2 * sizeof(double));
     }
-    packed_offset += static_cast<int32_t>(L1 + L2);
   }
 
   obs::Registry& registry = obs::Registry::Global();
@@ -683,7 +771,8 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
   const size_t T = ws.lines.size();
   const size_t L1 = static_cast<size_t>(level1_->num_labels());
   const size_t L2 = static_cast<size_t>(level2_->num_labels());
-  DualInternSink sink(attr_map_, ws.word_slots, packed_unary_.data(), L1, L2);
+  DualInternSink sink(attr_slots_, attr_names_, ws.word_slots, ws.doorkeeper,
+                      packed_unary_.data(), L1, L2);
 
   // Level 1 compile + scoring: a cache hit replaces tokenization, word
   // classification, vocabulary interning, and unary/pairwise scoring with
@@ -708,7 +797,7 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
   size_t cache_hits = 0;  // flushed to the registry once per record
   for (size_t t = 0; t < T; ++t) {
     LineCacheKey(ws.lines[t], ws.key);
-    const uint64_t hash = TransparentStringHash{}(std::string_view(ws.key));
+    const uint64_t hash = KeyHash(ws.key);
     LineSlot& slot = ws.slots[hash & (kLineCacheSlots - 1)];
     const LineCacheEntry* entry;
     if (slot.hash == hash && slot.key == ws.key) {
@@ -717,9 +806,11 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
       entry = &slot.entry;
     } else {
       LineCacheEntry* e;
-      if (!slot.key.empty() && slot.record_seq == record_seq) {
-        // Collision with a line this record already points at: compile
-        // into the (reused, pointer-stable) overflow pool instead.
+      // A first sighting, or a collision with a line this record already
+      // points at, compiles into the (reused, pointer-stable) overflow
+      // pool instead of taking the slot.
+      if (!ws.doorkeeper.SeenBefore(hash) ||
+          (!slot.key.empty() && slot.record_seq == record_seq)) {
         e = ws.overflow_used < ws.overflow.size()
                 ? &ws.overflow[ws.overflow_used]
                 : &ws.overflow.emplace_back();
@@ -734,8 +825,9 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
       e->unary2.resize(L2);
       sink.BeginLine(e->level1, e->level2, e->unary1.data(), e->unary2.data());
       tokenizer_.ExtractTo(ws.lines[t], sink, ws.crf.token_scratch);
-      SplitTitleValueInto(ws.lines[t], e->title_lower, e->value);
-      e->plan = ComputeRoutePlan(e->title_lower, e->value);
+      FieldRouteCache& routes = ws.field_routes;
+      SplitTitleValueInto(ws.lines[t], routes.title, e->value);
+      e->plan = CachedRoutePlan(routes.title, e->value, routes);
       entry = e;
     }
     ws.line_entries[t] = entry;
@@ -834,16 +926,12 @@ std::vector<ParsedWhois> WhoisParser::ParseBatch(
   obs::ScopedSpan span("whois.parse_batch");
   std::vector<ParsedWhois> out(records.size());
   if (records.empty()) return out;
-  const size_t chunks = std::min(records.size(), pool.size());
-  std::vector<ParseWorkspace> workspaces(chunks);
-  pool.ParallelChunks(records.size(),
-                      [&](size_t begin, size_t end, size_t chunk) {
-                        obs::ScopedSpan chunk_span("whois.parse_chunk");
-                        ParseWorkspace& ws = workspaces[chunk];
-                        for (size_t r = begin; r < end; ++r) {
-                          out[r] = Parse(records[r], ws);
-                        }
-                      });
+  // Chunks run on pool threads, so Parse(record) reuses each thread's
+  // warm workspace across calls.
+  pool.ParallelChunks(records.size(), [&](size_t begin, size_t end, size_t) {
+    obs::ScopedSpan chunk_span("whois.parse_chunk");
+    for (size_t r = begin; r < end; ++r) out[r] = Parse(records[r]);
+  });
   return out;
 }
 

@@ -15,6 +15,7 @@
 // Adapt() by supplying a handful of newly labeled examples (§5.3).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -66,9 +67,9 @@ struct LineRoutePlan {
 struct LineCacheEntry {
   crf::CompiledItem level1, level2;
   std::vector<double> unary1, unary2;  // num_labels() doubles per level
-  // Field-extraction view of the line (separator split, title lowered,
-  // routing decisions), also a pure function of the text.
-  std::string title_lower, value;
+  // Field-extraction view of the line (separator split, routing
+  // decisions), also a pure function of the text.
+  std::string value;
   LineRoutePlan plan;
 };
 
@@ -118,18 +119,52 @@ struct TransparentStringHash {
   }
 };
 
-// Memo for ExtractFieldsCached: route plans of *titled* lines keyed by
-// lowered title (for a fixed title the plan is value-independent except
-// for the URL check, which the cached path re-tests per value), plus
-// reused split buffers so steady-state extraction allocates nothing.
-// Not thread-safe; use one per thread (ParseWorkspace carries one).
-// Plans are pure text functions, independent of any parser instance, so
-// the memo never needs invalidation.
+// Route-plan memo shared by ExtractFieldsCached and the fast path's
+// line-cache misses: plans of *titled* lines keyed by lowered title (for a
+// fixed title the plan is value-independent except for the URL check,
+// which is re-tested per value), plus reused split buffers so
+// steady-state extraction allocates nothing. Not thread-safe; use one per
+// thread (ParseWorkspace carries one). Plans are pure text functions,
+// independent of any parser instance, so the memo never needs
+// invalidation. It is emptied when it reaches kMaxTitles, so input with
+// endless distinct titles cannot grow a long-lived workspace (a WHOIS
+// census has a few hundred distinct titles).
 struct FieldRouteCache {
+  static constexpr size_t kMaxTitles = 4096;
   std::unordered_map<std::string, LineRoutePlan, TransparentStringHash,
                      std::equal_to<>>
       by_title;
   std::string title, value;
+};
+
+// Admission filter for the line and word caches: one bit per hashed key,
+// so a key enters a cache only on its second sighting. One-off lines and
+// words (dates, domains, emails) then neither evict template entries nor
+// grow slot buffers. The bitset is emptied once half its bits are set,
+// which bounds the false "seen before" rate; a false positive only admits
+// a key early, and admission never changes a parse's output.
+struct Doorkeeper {
+  static constexpr int kLog2Bits = 16;
+  static constexpr size_t kBits = size_t{1} << kLog2Bits;
+  std::vector<uint64_t> bits;  // kBits / 64 words, sized on first use
+  size_t set = 0;              // bits currently set
+  uint64_t clears = 0;         // times the filter was emptied
+
+  // Records a sighting of `hash`; true if it was already recorded.
+  bool SeenBefore(uint64_t hash) {
+    if (bits.empty()) bits.assign(kBits / 64, 0);
+    const size_t i = static_cast<size_t>(hash >> (64 - kLog2Bits));
+    uint64_t& word = bits[i / 64];
+    const uint64_t mask = uint64_t{1} << (i % 64);
+    if ((word & mask) != 0) return true;
+    word |= mask;
+    if (++set >= kBits / 2) {
+      std::fill(bits.begin(), bits.end(), 0);
+      set = 0;
+      ++clears;
+    }
+    return false;
+  }
 };
 
 // One slot of the direct-mapped line cache. `key` (layout flags + text)
@@ -155,21 +190,21 @@ struct ParseWorkspace {
 
   // Line cache: direct-mapped, fixed slot count, eviction on collision.
   // Keyed by layout flags + text — the only Line fields feature extraction
-  // reads. A template line that repeats across records is re-inserted as
-  // fast as one-off lines (dates, domains) can evict it, so the hit rate
-  // tracks the corpus's instantaneous template overlap instead of decaying
-  // once a grow-only map would have filled: memory stays bounded with no
-  // saturation cliff. Eviction recompiles *in place*, reusing the slot's
-  // vectors and strings, so misses allocate nothing once capacities have
-  // grown. Entries are valid for exactly one parser instance
-  // (`cache_owner`); Parse invalidates all slots when handed a workspace
-  // last used with a different parser.
+  // reads. Only lines the doorkeeper has seen before are admitted, so
+  // one-off lines (dates, domains) compile into `overflow` instead of
+  // evicting template lines that repeat across records. Memory stays
+  // bounded with no saturation cliff. Eviction recompiles
+  // *in place*, reusing the slot's vectors and strings, so misses allocate
+  // nothing once capacities have grown. Entries are valid for exactly one
+  // parser instance (`cache_owner`); Parse invalidates all slots when
+  // handed a workspace last used with a different parser.
   uint64_t cache_owner = 0;
   uint64_t record_seq = 0;
   std::vector<LineSlot> slots;  // sized kLineCacheSlots on first use
-  // Same-record slot collisions compile into this pool instead of
-  // evicting (deque: pointer-stable growth); entries are reused across
-  // records via `overflow_used`, never destroyed.
+  // Lines not admitted to a slot — first sightings, and collisions with a
+  // slot this record already points at — compile into this pool (deque:
+  // pointer-stable growth); entries are reused across records via
+  // `overflow_used`, never destroyed.
   std::deque<LineCacheEntry> overflow;
   size_t overflow_used = 0;
   std::vector<const LineCacheEntry*> line_entries;  // per line, this record
@@ -180,12 +215,16 @@ struct ParseWorkspace {
   // Serves line-cache *misses*: template churn produces novel lines made
   // of familiar words (dates, domains, boilerplate vocabulary), so the
   // per-word work is shared even when the per-line entry cannot be.
-  // Direct-mapped with eviction on collision, like the line cache.
-  // Validity follows `cache_owner`.
+  // Direct-mapped with eviction on collision and doorkeeper admission,
+  // like the line cache. Validity follows `cache_owner`.
   std::vector<WordSlot> word_slots;  // sized kWordCacheSlots on first use
 
-  // Route-plan memo for ExtractFieldsCached (the cascade's cheap tiers).
-  // Parser-independent, so it survives cache_owner changes untouched.
+  // Admission filter shared by the line and word caches.
+  Doorkeeper doorkeeper;
+
+  // Route-plan memo for line-cache misses and ExtractFieldsCached (the
+  // cascade's cheap tiers). Parser-independent, so it survives cache_owner
+  // changes untouched.
   FieldRouteCache field_routes;
 };
 
@@ -216,8 +255,10 @@ class WhoisParser {
   // equivalence.
   ParsedWhois ParseNaive(std::string_view record_text) const;
 
-  // Parses many records on a thread pool, one workspace per chunk.
-  // Results are in input order and identical to calling Parse on each.
+  // Parses many records on a thread pool through each pool thread's
+  // thread-local workspace (the one Parse(record) uses), so a pool that
+  // parses batch after batch keeps its caches warm. Results are in input
+  // order and identical to calling Parse on each.
   std::vector<ParsedWhois> ParseBatch(std::span<const std::string> records,
                                       util::ThreadPool& pool) const;
 
@@ -267,19 +308,28 @@ class WhoisParser {
   ParseMetrics metrics_;
 
   // Both levels' vocabularies merged into one attr -> (id, slot) table, so
-  // compiling a cache-miss line probes one hash map per attribute instead
-  // of two vocabularies plus two slot maps. -1 marks "not in this level".
+  // compiling a cache-miss line probes one table per attribute instead of
+  // two vocabularies plus two slot maps. -1 marks "not in this level".
   struct DualAttr {
     int id1 = -1, slot1 = -1;
     int id2 = -1, slot2 = -1;
     // Offset of this attribute's row in packed_unary_: L1 doubles of
     // level-1 unary weights followed by L2 of level-2 (zeros where the
-    // attribute is absent from a level).
+    // attribute is absent from a level). -1 marks a vacant AttrSlot.
     int32_t packed = -1;
   };
-  std::unordered_map<std::string, DualAttr, TransparentStringHash,
-                     std::equal_to<>>
-      attr_map_;
+  // One slot of the flat attr table: open addressing with linear probing
+  // over a power-of-two array at most half full, built once at
+  // construction. A probe hashes the attribute once (inline, no call),
+  // then compares the stored hash before touching the name bytes.
+  struct AttrSlot {
+    uint64_t hash = 0;
+    uint32_t name_offset = 0;  // into attr_names_
+    uint32_t name_size = 0;
+    DualAttr attr;
+  };
+  std::vector<AttrSlot> attr_slots_;
+  std::string attr_names_;  // every slot's name, back to back
 
   // Both levels' unary weight rows for each merged attribute, adjacent in
   // one cache-dense table: scoring an interned attribute against both

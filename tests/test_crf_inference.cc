@@ -1,8 +1,12 @@
 // CRF inference correctness: the dynamic programs of the paper's appendix
 // are validated against brute-force enumeration, and the analytic gradient
 // of the log-likelihood against finite differences.
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -72,6 +76,41 @@ TEST(LogSumExpTest, AllNegativeInfinity) {
   const double v[] = {-inf, -inf};
   EXPECT_TRUE(std::isinf(LogSumExp(v, 2)));
   EXPECT_LT(LogSumExp(v, 2), 0);
+}
+
+// LogSumExp adds 1.0 for terms equal to the max instead of calling
+// exp(0); that must not change a bit against the plain loop, including
+// with ties, -inf entries and all--inf input.
+TEST(LogSumExpTest, MatchesNaiveReferenceBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto naive = [](const std::vector<double>& v) {
+    double max = -std::numeric_limits<double>::infinity();
+    for (double x : v) max = std::max(max, x);
+    if (!std::isfinite(max)) return max;
+    double sum = 0.0;
+    for (double x : v) sum += std::exp(x - max);
+    return max + std::log(sum);
+  };
+  util::Rng rng(2015);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(1, 12));
+    std::vector<double> v(static_cast<size_t>(n));
+    for (double& x : v) x = rng.UniformDouble() * 40.0 - 20.0;
+    // Ties: copy one entry over others (several copies of the max in
+    // some trials).
+    for (int k = static_cast<int>(rng.UniformInt(0, 3)); k > 0; --k) {
+      v[static_cast<size_t>(rng.UniformInt(0, n - 1))] =
+          v[static_cast<size_t>(rng.UniformInt(0, n - 1))];
+    }
+    if (trial % 3 == 0) v[static_cast<size_t>(rng.UniformInt(0, n - 1))] = -inf;
+    if (trial % 50 == 0) std::fill(v.begin(), v.end(), -inf);
+    const double got = LogSumExp(v.data(), n);
+    const double want = naive(v);
+    uint64_t got_bits, want_bits;
+    std::memcpy(&got_bits, &got, sizeof(got));
+    std::memcpy(&want_bits, &want, sizeof(want));
+    EXPECT_EQ(got_bits, want_bits) << "trial " << trial;
+  }
 }
 
 class InferenceBruteForceTest

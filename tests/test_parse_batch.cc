@@ -1,11 +1,14 @@
 // Batch parsing engine: fused tokenize+compile equivalence, fast-vs-naive
 // Parse equivalence, ParseBatch-vs-sequential equivalence across thread
-// counts, parser options round-trip, and legacy model-stream loading.
+// counts, warm ParseBatch workspaces, cache admission and collisions, the
+// bounded route-plan memo, parser options round-trip, and legacy
+// model-stream loading.
 //
 // These tests are the guardrail for the inference fast path: every
 // workspace shortcut must be *exactly* the classic pipeline, down to
 // log_prob. Run them in a -DWHOISCRF_TSAN=ON build tree to check the
 // parallel path under ThreadSanitizer.
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +17,7 @@
 
 #include "crf/workspace.h"
 #include "datagen/corpus_gen.h"
+#include "obs/metrics.h"
 #include "text/line_splitter.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -144,6 +148,106 @@ TEST_F(ParseBatchTest, BatchMatchesSequentialAcrossThreadCounts) {
           << threads << " threads, record " << r;
     }
   }
+}
+
+TEST_F(ParseBatchTest, SecondBatchOnSamePoolHitsWarmCaches) {
+  // Pool threads parse through their thread-local workspaces, so a second
+  // batch on the same pool starts with the caches the first one warmed.
+  const std::vector<std::string> records = CorpusTexts(1000, 40);
+  const auto hits = [] {
+    return obs::Registry::Global().CounterValue(
+        "whoiscrf_compile_cache_hits_total");
+  };
+  util::ThreadPool pool(2);
+  const uint64_t before = hits();
+  const std::vector<ParsedWhois> first = parser_->ParseBatch(records, pool);
+  const uint64_t after_first = hits();
+  const std::vector<ParsedWhois> second = parser_->ParseBatch(records, pool);
+  const uint64_t after_second = hits();
+  EXPECT_GT(after_second - after_first, after_first - before);
+  ASSERT_EQ(second.size(), first.size());
+  for (size_t r = 0; r < first.size(); ++r) {
+    EXPECT_EQ(ToJson(second[r]), ToJson(first[r])) << "record " << r;
+  }
+}
+
+TEST_F(ParseBatchTest, CacheAdmissionAndCollisionsKeepOutputIdentical) {
+  // Lines that occur many times (template lines), exactly twice (shared by
+  // records 2k and 2k+1) and once (per-record values), with far more
+  // distinct lines and words than the caches have slots: slots collide,
+  // first sightings compile into the overflow pool, and the doorkeeper
+  // empties at least once. None of it may show in the output.
+  constexpr size_t kRecords = 500;
+  constexpr size_t kUniqueLines = 60;  // per record, two unique words each
+  const char* kUniqueTitles[] = {"Registrant Street", "Admin Phone",
+                                 "Tech Email", "Updated Date",
+                                 "Registrant City", "Billing Name"};
+  std::vector<std::string> records;
+  records.reserve(kRecords);
+  for (size_t r = 0; r < kRecords; ++r) {
+    const std::string pair = std::to_string(r / 2);
+    std::string rec = "Domain Name: UNIQUE" + std::to_string(r) + ".COM\n";
+    rec += "Registrar: EXAMPLE REGISTRAR LLC\n";
+    rec += "Registrar URL: http://www.example-registrar.com\n";
+    rec += "Domain Status: clientTransferProhibited\n";
+    rec += "Name Server: NS" + pair + ".PAIRED-HOST.NET\n";
+    rec += "Registrant Organization: Paired Org " + pair + "\n";
+    for (size_t k = 0; k < kUniqueLines; ++k) {
+      const std::string n = std::to_string(r * kUniqueLines + k);
+      rec += std::string(kUniqueTitles[k % 6]) + ": v" + n + " w" + n + "\n";
+    }
+    rec += "\n>>> Last update of WHOIS database: 2015-01-01 <<<\n";
+    records.push_back(std::move(rec));
+  }
+
+  const auto hits = [] {
+    return obs::Registry::Global().CounterValue(
+        "whoiscrf_compile_cache_hits_total");
+  };
+  const uint64_t hits_before = hits();
+  ParseWorkspace long_lived;
+  for (size_t r = 0; r < records.size(); ++r) {
+    const std::string warm = ToJson(parser_->Parse(records[r], long_lived));
+    ParseWorkspace fresh_ws;
+    EXPECT_EQ(warm, ToJson(parser_->Parse(records[r], fresh_ws)))
+        << "record " << r;
+    EXPECT_EQ(warm, ToJson(parser_->ParseNaive(records[r]))) << "record " << r;
+  }
+  EXPECT_GT(hits() - hits_before, 0u);
+  EXPECT_GE(long_lived.doorkeeper.clears, 1u);
+  EXPECT_LE(long_lived.field_routes.by_title.size(),
+            FieldRouteCache::kMaxTitles);
+}
+
+TEST(FieldRouteCacheTest, StaysBoundedUnderUniqueTitles) {
+  // Every record brings titles never seen before; the per-title memo must
+  // stay within its cap and still route exactly like ExtractFields.
+  const std::vector<Level1Label> labels = {
+      Level1Label::kRegistrar, Level1Label::kRegistrar, Level1Label::kDomain,
+      Level1Label::kDate, Level1Label::kRegistrant};
+  const std::vector<Level2Label> subs = {Level2Label::kName};
+  FieldRouteCache cache;
+  size_t max_size = 0;
+  for (size_t r = 0; r < 100000; ++r) {
+    const std::string n = std::to_string(r);
+    std::string text = "Sponsor " + n + ": Registrar " + n + "\n";
+    text += "Link " + n + ": http://r" + n + ".example\n";
+    text += "Domain " + n + ": D" + n + ".COM\n";
+    text += "Created " + n + ": 2001-02-03\n";
+    text += "Name " + n + ": Person " + n + "\n";
+    const auto lines = text::SplitRecord(text);
+    ASSERT_EQ(lines.size(), labels.size());
+    ParsedWhois cached, reference;
+    ExtractFieldsCached(lines, labels, subs, cached, cache);
+    ExtractFields(lines, labels, subs, reference);
+    max_size = std::max(max_size, cache.by_title.size());
+    if (r % 997 == 0) {
+      ASSERT_EQ(ToJson(cached), ToJson(reference)) << "record " << r;
+      ASSERT_FALSE(cached.registrar_url.empty()) << "record " << r;
+    }
+  }
+  EXPECT_LE(max_size, FieldRouteCache::kMaxTitles);
+  EXPECT_GE(max_size, FieldRouteCache::kMaxTitles - 5);
 }
 
 TEST_F(ParseBatchTest, ParseBatchHandlesEmptyAndDegenerateRecords) {

@@ -223,6 +223,23 @@ TEST(ThreadPoolTest, PropagatesExceptions) {
                std::runtime_error);
 }
 
+TEST(ThreadPoolTest, BackToBackCallsLeaveNoChunkBehind) {
+  // ParallelChunks keeps its completion state on the caller's stack, so
+  // no chunk may touch it once the call has returned; many short calls in
+  // a row give a chunk that does the chance to corrupt the next call's
+  // state (a crash or a lost wakeup) or to trip the sanitizers.
+  ThreadPool pool(4);
+  size_t total = 0;
+  for (int round = 0; round < 20000; ++round) {
+    std::atomic<size_t> sum{0};
+    pool.ParallelChunks(4, [&](size_t begin, size_t end, size_t) {
+      sum += end - begin;
+    });
+    total += sum.load();
+  }
+  EXPECT_EQ(total, 80000u);
+}
+
 TEST(ThreadPoolTest, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   pool.ParallelFor(0, [](size_t) { FAIL(); });
