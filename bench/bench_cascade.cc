@@ -12,6 +12,16 @@
 // ones fall through to the CRF, and the shadow guard re-parses a sampled
 // fraction of the cheap path (WHOISCRF_BENCH_SHADOW_RATE, default 0.02 —
 // the cost of the correctness guard is part of the cascade's price).
+//
+// Per-tier cost: a second pass times every cascade parse on its own and
+// files it under the tier that produced the result (tier_ns_per_record),
+// and times the pure-CRF parse of the same record right after it.
+// template_ns_per_record (a template hit, extraction included) and
+// crf_ns_per_record (the CRF fast path on the same records) thus come
+// from the same run under the same load; template_vs_crf_speedup is their
+// ratio — how much cheaper the cheap tier is than the parser it spares —
+// gated in bench/bench_floor.json. Shadow-sampled parses are left out of
+// the per-tier means, since they time a CRF parse on top of the cheap one.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -176,6 +186,43 @@ int Main() {
     return sum;
   });
 
+  // Per-tier cost: every parse timed alone on its warm workspace, each
+  // cascade parse followed by the pure-CRF parse of the same record.
+  const auto ns_since = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::nano>(Clock::now() - start)
+        .count();
+  };
+  double tier_ns[3] = {0.0, 0.0, 0.0};
+  size_t tier_timed[3] = {0, 0, 0};
+  double crf_total_ns = 0.0;
+  size_t crf_timed = 0;
+  double timed_sink = 0.0;
+  for (const auto& slice : slices) {
+    for (const std::string& r : slice) {
+      auto start = Clock::now();
+      const cascade::CascadeResult result = cascade_parser.Parse(r, cascade_ws);
+      const double cascade_ns = ns_since(start);
+      start = Clock::now();
+      timed_sink += Checksum(parser.Parse(r, crf_ws));
+      crf_total_ns += ns_since(start);
+      ++crf_timed;
+      if (result.shadow_sampled) continue;
+      tier_ns[static_cast<int>(result.tier)] += cascade_ns;
+      ++tier_timed[static_cast<int>(result.tier)];
+    }
+  }
+  if (timed_sink < 0.0) std::printf("impossible checksum %f\n", timed_sink);
+  const auto mean_ns = [&](cascade::Tier tier) {
+    const int t = static_cast<int>(tier);
+    return tier_timed[t] > 0 ? tier_ns[t] / static_cast<double>(tier_timed[t])
+                             : 0.0;
+  };
+  const double template_ns = mean_ns(cascade::Tier::kTemplate);
+  const double crf_ns =
+      crf_timed > 0 ? crf_total_ns / static_cast<double>(crf_timed) : 0.0;
+  const double template_vs_crf =
+      template_ns > 0.0 ? crf_ns / template_ns : 0.0;
+
   // Accuracy + dispatch accounting over the last slice's labeled records
   // (untimed; the rps numbers above already include dispatch overhead).
   size_t cascade_agree = 0;
@@ -227,6 +274,12 @@ int Main() {
               casc.records_per_sec, speedup, cascade_acc);
   std::printf("\ndispatch (last slice): template %zu  rule %zu  crf %zu\n",
               tier_counts[0], tier_counts[1], tier_counts[2]);
+  std::printf("cascade per-tier cost: template %.0f ns  rule %.0f ns  crf %.0f"
+              " ns\n",
+              template_ns, mean_ns(cascade::Tier::kRule),
+              mean_ns(cascade::Tier::kCrf));
+  std::printf("pure CRF %.0f ns/record: a template hit is %.2fx cheaper\n",
+              crf_ns, template_vs_crf);
   std::printf("shadow guard: %llu samples, %llu disagreements\n",
               static_cast<unsigned long long>(shadow_samples),
               static_cast<unsigned long long>(shadow_disagreements));
@@ -247,6 +300,12 @@ int Main() {
   os << "  \"crf_field_accuracy\": " << crf_acc << ",\n";
   os << "  \"cascade_field_accuracy\": " << cascade_acc << ",\n";
   os << "  \"field_accuracy_delta\": " << accuracy_delta << ",\n";
+  os << "  \"template_ns_per_record\": " << template_ns << ",\n";
+  os << "  \"crf_ns_per_record\": " << crf_ns << ",\n";
+  os << "  \"template_vs_crf_speedup\": " << template_vs_crf << ",\n";
+  os << "  \"tier_ns_per_record\": {\"template\": " << template_ns
+     << ", \"rule\": " << mean_ns(cascade::Tier::kRule)
+     << ", \"crf\": " << mean_ns(cascade::Tier::kCrf) << "},\n";
   os << "  \"dispatch\": {\"template\": " << tier_counts[0]
      << ", \"rule\": " << tier_counts[1] << ", \"crf\": " << tier_counts[2]
      << "},\n";

@@ -1,5 +1,6 @@
 #include "baselines/rule_parser.h"
 
+#include <array>
 #include <cctype>
 #include <map>
 
@@ -162,20 +163,39 @@ Level2Label GuessRegistrantSub(const text::Line& line, int position_in_block) {
 
 std::string RuleBasedParser::NormalizeTitle(std::string_view title) {
   std::string out;
-  out.reserve(title.size());
-  bool last_space = true;
-  for (char c : title) {
-    const unsigned char uc = static_cast<unsigned char>(c);
-    if (std::isalnum(uc)) {
-      out += static_cast<char>(std::tolower(uc));
-      last_space = false;
-    } else if (!last_space) {
-      out += ' ';
-      last_space = true;
-    }
-  }
-  while (!out.empty() && out.back() == ' ') out.pop_back();
+  NormalizeTitleInto(title, out);
   return out;
+}
+
+void RuleBasedParser::NormalizeTitleInto(std::string_view title,
+                                         std::string& out) {
+  // ASCII letters and digits fold to lower case; every other byte
+  // (punctuation, whitespace, non-ASCII) is a break. Exactly what
+  // std::isalnum/std::tolower do in the C locale, minus the calls.
+  static constexpr std::array<char, 256> kFold = [] {
+    std::array<char, 256> t{};
+    for (int c = '0'; c <= '9'; ++c) t[c] = static_cast<char>(c);
+    for (int c = 'a'; c <= 'z'; ++c) t[c] = static_cast<char>(c);
+    for (int c = 'A'; c <= 'Z'; ++c) t[c] = static_cast<char>(c - 'A' + 'a');
+    return t;
+  }();
+  out.resize(title.size());
+  char* const begin = out.data();
+  char* p = begin;
+  // Branch-free: every byte writes (its folded form, or a space for a
+  // break) and the cursor advances past it unless it is a break that
+  // follows another break (or the start).
+  bool last_space = true;
+  for (const char c : title) {
+    const char folded = kFold[static_cast<unsigned char>(c)];
+    const bool is_break = folded == 0;
+    *p = is_break ? ' ' : folded;
+    p += static_cast<int>(!(is_break && last_space));
+    last_space = is_break;
+  }
+  // Breaks collapse, so at most one trailing space is left to drop.
+  if (p != begin && p[-1] == ' ') --p;
+  out.resize(static_cast<size_t>(p - begin));
 }
 
 bool RuleBasedParser::LooksLikeOrgName(std::string_view value) {

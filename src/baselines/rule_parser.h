@@ -89,9 +89,13 @@ class RuleBasedParser {
   size_t num_header_rules() const { return header_rules_.size(); }
   size_t num_bare_rules() const { return bare_rules_.size(); }
 
-  // Normalization applied to titles before rule lookup (lower-case,
-  // collapse whitespace, strip non-alphanumerics at the edges).
+  // Normalization applied to titles before rule lookup: ASCII letters and
+  // digits lower-cased, every run of other bytes collapsed to one space,
+  // no space at either edge.
   static std::string NormalizeTitle(std::string_view title);
+  // The same normalization into a caller-owned buffer (no allocation once
+  // `out` has capacity); the template tier normalizes every line this way.
+  static void NormalizeTitleInto(std::string_view title, std::string& out);
 
   // Does this value look like an organization rather than a person? True
   // when the last word is a corporate designator ("LLC", "GmbH",

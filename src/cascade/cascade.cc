@@ -14,6 +14,7 @@ using whois::Level1Label;
 using whois::Level2Label;
 
 constexpr std::string_view kUnknownRegistrar = "(unknown)";
+constexpr std::string_view kOtherRegistrar = "(other)";
 
 }  // namespace
 
@@ -85,10 +86,13 @@ CascadeParser::CascadeParser(const whois::WhoisParser* crf,
                        "Records that fell past a cheap tier, by reason",
                        {{"reason", std::string(FallthroughName(f))}});
   }
+  shadow_label_overflow_ = reg.GetCounter(
+      "whoiscrf_cascade_shadow_label_overflow_total",
+      "Shadow samples tallied under the (other) registrar label because "
+      "the per-registrar label cap was reached");
 }
 
-void CascadeParser::ExtractParsed(const std::vector<text::Line>& lines,
-                                  std::vector<Level1Label> labels,
+void CascadeParser::ExtractParsed(std::vector<Level1Label> labels,
                                   const std::vector<Level2Label>* subs,
                                   whois::ParseWorkspace& ws,
                                   whois::ParsedWhois& out) const {
@@ -96,10 +100,10 @@ void CascadeParser::ExtractParsed(const std::vector<text::Line>& lines,
   // everything else falls back to the rule parser's heuristics.
   const std::vector<Level2Label> guessed =
       subs != nullptr ? std::vector<Level2Label>{}
-                      : rule_parser_.RegistrantSubLabels(lines, labels);
+                      : rule_parser_.RegistrantSubLabels(ws.lines, labels);
   out.line_labels = std::move(labels);
-  whois::ExtractFieldsCached(lines, out.line_labels, subs ? *subs : guessed,
-                             out, ws.field_routes);
+  whois::ExtractFieldsCached(ws.lines, ws.separators, out.line_labels,
+                             subs ? *subs : guessed, out, ws.field_routes);
 }
 
 bool CascadeParser::FieldsSane(const whois::ParsedWhois& parsed) const {
@@ -129,18 +133,22 @@ CascadeResult CascadeParser::Parse(std::string_view record_text,
   CascadeResult result;
   records_->Inc();
 
-  // Split into the workspace's line buffer (reused across records). The
-  // CRF re-splits into the same buffer on fallthrough and shadow parses,
-  // which is safe: the cheap tiers are done with the lines by then.
+  // Split into the workspace's line buffer (reused across records) and
+  // scan each line for its separator once: the template tier and field
+  // extraction both read these splits. The CRF re-splits into the same
+  // buffer on fallthrough and shadow parses, which is safe: the cheap
+  // tiers are done with the lines (and the splits' views) by then.
   text::SplitRecordInto(record_text, ws.lines);
+  text::FindSeparators(ws.lines, ws.separators);
   const std::vector<text::Line>& lines = ws.lines;
 
   // Tier 1: template parser. An exact hit is as trustworthy as the labeled
   // corpus itself — the record's every line resolved against one format
   // the corpus contains verbatim.
-  baselines::TemplateBasedParser::Result tpl = template_parser_.Parse(lines);
+  baselines::TemplateBasedParser::Result tpl =
+      template_parser_.Parse(lines, ws.separators);
   if (tpl.matched) {
-    ExtractParsed(lines, std::move(tpl.labels),
+    ExtractParsed(std::move(tpl.labels),
                   tpl.registrant_subs.empty() ? nullptr
                                               : &tpl.registrant_subs,
                   ws, result.parsed);
@@ -162,7 +170,7 @@ CascadeResult CascadeParser::Parse(std::string_view record_text,
   } else if (stats.LearnedCoverage() < options_.rule_coverage_min) {
     reject = Fallthrough::kRuleLowCoverage;
   } else {
-    ExtractParsed(lines, std::move(labels), nullptr, ws, result.parsed);
+    ExtractParsed(std::move(labels), nullptr, ws, result.parsed);
     if (FieldsSane(result.parsed)) {
       result.tier = Tier::kRule;
       dispatch_[static_cast<int>(Tier::kRule)]->Inc();
@@ -197,7 +205,15 @@ void CascadeParser::ShadowCheck(std::string_view record_text,
                               ? std::string(kUnknownRegistrar)
                               : result.parsed.registrar;
   std::lock_guard<std::mutex> lock(shadow_mu_);
-  ShadowEntry& entry = shadow_[registrar];
+  auto it = shadow_.find(registrar);
+  if (it == shadow_.end()) {
+    if (shadow_.size() >= kMaxShadowLabels) {
+      shadow_label_overflow_->Inc();
+      registrar = kOtherRegistrar;
+    }
+    it = shadow_.try_emplace(registrar).first;
+  }
+  ShadowEntry& entry = it->second;
   if (entry.samples == nullptr) {
     auto& reg = obs::Registry::Global();
     entry.samples =

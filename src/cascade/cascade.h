@@ -130,8 +130,17 @@ class CascadeParser {
   whois::ParsedWhois ParseRecord(const std::string& record_text,
                                  whois::ParseWorkspace& ws) const;
 
+  // Distinct registrar labels the shadow guard keeps. The label is parsed
+  // out of record text, so without a cap hostile or merely diverse input
+  // would grow the tallies and the metric label set without bound; once
+  // the cap is reached, samples of new registrars fold into "(other)" and
+  // count whoiscrf_cascade_shadow_label_overflow_total.
+  static constexpr size_t kMaxShadowLabels = 256;
+
   // Point-in-time copy of the per-registrar shadow tallies (keyed by the
-  // cheap path's extracted registrar; "(unknown)" when empty).
+  // cheap path's extracted registrar; "(unknown)" when empty, "(other)"
+  // for registrars past kMaxShadowLabels). Sample and disagreement totals
+  // cover every shadow sample, folded or not.
   std::map<std::string, ShadowStats> ShadowSnapshot() const;
 
   const CascadeOptions& options() const { return options_; }
@@ -144,11 +153,11 @@ class CascadeParser {
 
  private:
   // Labels -> ParsedWhois via the shared field extractor (the memoized
-  // variant; the workspace carries the route-plan cache). `subs` supplies
-  // the registrant sub-labels when the dispatching tier knows them exactly
-  // (template hits); nullptr falls back to the rule parser's heuristics.
-  void ExtractParsed(const std::vector<text::Line>& lines,
-                     std::vector<whois::Level1Label> labels,
+  // variant; the workspace carries the record's lines, their separator
+  // splits and the route-plan cache). `subs` supplies the registrant
+  // sub-labels when the dispatching tier knows them exactly (template
+  // hits); nullptr falls back to the rule parser's heuristics.
+  void ExtractParsed(std::vector<whois::Level1Label> labels,
                      const std::vector<whois::Level2Label>* subs,
                      whois::ParseWorkspace& ws,
                      whois::ParsedWhois& out) const;
@@ -172,10 +181,12 @@ class CascadeParser {
   obs::Counter* dispatch_[3] = {nullptr, nullptr, nullptr};  // by Tier
   obs::Counter* fallthrough_[5] = {nullptr, nullptr, nullptr, nullptr,
                                    nullptr};  // by Fallthrough; [0] unused
+  obs::Counter* shadow_label_overflow_ = nullptr;
 
   // Shadow guard state. The tick is advanced for every cheap-path record;
   // the map (and its per-registrar counters) is touched only on sampled
-  // ones.
+  // ones. The map holds at most kMaxShadowLabels registrars plus
+  // "(other)".
   mutable std::atomic<uint64_t> shadow_tick_{0};
   struct ShadowEntry {
     ShadowStats stats;

@@ -79,6 +79,14 @@ std::optional<SeparatorSplit> FindSeparator(std::string_view line) {
   return std::nullopt;
 }
 
+void FindSeparators(const std::vector<Line>& lines,
+                    std::vector<std::optional<SeparatorSplit>>& out) {
+  out.resize(lines.size());
+  for (size_t i = 0; i < lines.size(); ++i) {
+    out[i] = FindSeparator(lines[i].text);
+  }
+}
+
 std::string_view SeparatorName(SeparatorKind kind) {
   switch (kind) {
     case SeparatorKind::kColon: return "COLON";

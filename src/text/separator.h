@@ -9,6 +9,9 @@
 
 #include <optional>
 #include <string_view>
+#include <vector>
+
+#include "text/line_splitter.h"
 
 namespace whoiscrf::text {
 
@@ -29,6 +32,13 @@ struct SeparatorSplit {
 // Japanese registrars) split at the closing bracket.
 // A colon that is part of "http://" or "https://" is not a separator.
 std::optional<SeparatorSplit> FindSeparator(std::string_view line);
+
+// FindSeparator of every line, one entry per line (views into the lines'
+// text, valid while `lines` is unchanged). Refills `out` in place, so a
+// reused vector stops allocating. The cascade scans each record once this
+// way and hands the splits to both the template tier and field extraction.
+void FindSeparators(const std::vector<Line>& lines,
+                    std::vector<std::optional<SeparatorSplit>>& out);
 
 // Short stable name for a separator kind ("COLON", "ELLIPSIS", ...), used
 // as a CRF attribute (the paper's "SEP" features distinguish records whose

@@ -12,6 +12,7 @@
 #include "text/separator.h"
 #include "text/word_classes.h"
 #include "util/byte_scan.h"
+#include "util/key_hash.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -71,9 +72,9 @@ struct TitleValue {
 
 // Allocation-free when `title`/`value` already have capacity (the line
 // cache reuses its entries' strings across evictions).
-void SplitTitleValueInto(const text::Line& line, std::string& title,
-                         std::string& value) {
-  const auto sep = text::FindSeparator(line.text);
+void SplitTitleValueInto(const text::Line& line,
+                         const std::optional<text::SeparatorSplit>& sep,
+                         std::string& title, std::string& value) {
   if (sep.has_value()) {
     title.assign(sep->title);
     util::scan::AsciiLower(title.data(), title.size(), title.data());
@@ -82,6 +83,11 @@ void SplitTitleValueInto(const text::Line& line, std::string& title,
     title.clear();
     value.assign(util::Trim(line.text));
   }
+}
+
+void SplitTitleValueInto(const text::Line& line, std::string& title,
+                         std::string& value) {
+  SplitTitleValueInto(line, text::FindSeparator(line.text), title, value);
 }
 
 TitleValue SplitTitleValue(const text::Line& line) {
@@ -126,35 +132,7 @@ constexpr size_t kLineCacheSlots = 1 << 13;
 // pinning is needed.
 constexpr size_t kWordCacheSlots = 1 << 13;
 
-// 64-bit hash of a cache or attr-table key, inlined into every probe (no
-// out-of-line std::hash call): 8-byte little-endian words folded with
-// multiply-xorshift rounds. The low bits index the direct-mapped caches
-// and the attr table, the top bits the doorkeeper.
-inline uint64_t KeyHash(std::string_view s) {
-  constexpr uint64_t kMul = 0x9E3779B97F4A7C15ull;
-  uint64_t h = s.size() * kMul;
-  const char* p = s.data();
-  size_t n = s.size();
-  for (; n >= 8; p += 8, n -= 8) {
-    uint64_t w;
-    std::memcpy(&w, p, 8);
-    h = (h ^ w) * kMul;
-    h ^= h >> 32;
-  }
-  uint64_t tail = 0;
-  if (n > 0 && s.size() >= 8) {
-    std::memcpy(&tail, s.data() + s.size() - 8, 8);  // overlapping last word
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      tail |= static_cast<uint64_t>(static_cast<unsigned char>(p[i]))
-              << (8 * i);
-    }
-  }
-  h = (h ^ tail) * kMul;
-  h ^= h >> 32;
-  h *= kMul;
-  return h ^ (h >> 29);
-}
+using util::KeyHash;
 
 }  // namespace
 
@@ -564,17 +542,27 @@ void ExtractFields(const std::vector<text::Line>& lines,
   }
 }
 
-void ExtractFieldsCached(const std::vector<text::Line>& lines,
-                         const std::vector<Level1Label>& labels,
-                         const std::vector<Level2Label>& registrant_sub_labels,
-                         ParsedWhois& out, FieldRouteCache& cache) {
+void ExtractFieldsCached(
+    const std::vector<text::Line>& lines,
+    const std::vector<std::optional<text::SeparatorSplit>>& separators,
+    const std::vector<Level1Label>& labels,
+    const std::vector<Level2Label>& registrant_sub_labels, ParsedWhois& out,
+    FieldRouteCache& cache) {
   static const std::vector<Level2Label> kNoOtherSubs;
   size_t registrant_index = 0;
   size_t other_index = 0;
   for (size_t i = 0; i < lines.size(); ++i) {
-    SplitTitleValueInto(lines[i], cache.title, cache.value);
-    RouteLine(CachedRoutePlan(cache.title, cache.value, cache), cache.value,
-              labels[i], registrant_sub_labels, registrant_index,
+    SplitTitleValueInto(lines[i], separators[i], cache.title, cache.value);
+    // RouteLine reads the plan only for registrar, domain and date lines;
+    // contact and null lines (most of a thick record) skip the memo probe
+    // and the value-shape checks.
+    const Level1Label label = labels[i];
+    const bool planned = label == Level1Label::kRegistrar ||
+                         label == Level1Label::kDomain ||
+                         label == Level1Label::kDate;
+    RouteLine(planned ? CachedRoutePlan(cache.title, cache.value, cache)
+                      : LineRoutePlan{},
+              cache.value, label, registrant_sub_labels, registrant_index,
               kNoOtherSubs, other_index, out);
   }
 }

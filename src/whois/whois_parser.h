@@ -20,6 +20,7 @@
 #include <deque>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -28,6 +29,7 @@
 #include "crf/tagger.h"
 #include "crf/trainer.h"
 #include "crf/workspace.h"
+#include "text/separator.h"
 #include "text/tokenizer.h"
 #include "whois/record.h"
 #include "whois/training_data.h"
@@ -184,6 +186,9 @@ struct LineSlot {
 // cache hits (apart from the strings of the ParsedWhois it returns).
 struct ParseWorkspace {
   std::vector<text::Line> lines;
+  // text::FindSeparators of `lines` (views into them), filled by the
+  // cascade for its cheap tiers; the CRF path does not read it.
+  std::vector<std::optional<text::SeparatorSplit>> separators;
   std::vector<Level2Label> sub_labels;
   std::vector<Level2Label> other_subs;
   crf::Workspace crf;
@@ -353,11 +358,15 @@ void ExtractFields(const std::vector<text::Line>& lines,
 // ExtractFields with a per-thread route-plan memo, for callers that
 // extract from many records *without* the CRF fast path (whose line cache
 // already memoizes plans): the title-keyword scans run once per distinct
-// title instead of once per line. Produces exactly what ExtractFields
-// produces.
-void ExtractFieldsCached(const std::vector<text::Line>& lines,
-                         const std::vector<Level1Label>& labels,
-                         const std::vector<Level2Label>& registrant_sub_labels,
-                         ParsedWhois& out, FieldRouteCache& cache);
+// title instead of once per line. `separators` holds text::FindSeparator
+// of each line (text::FindSeparators), which the caller has usually
+// computed already — the cascade's template tier scans each line once for
+// both itself and extraction. Produces exactly what ExtractFields produces.
+void ExtractFieldsCached(
+    const std::vector<text::Line>& lines,
+    const std::vector<std::optional<text::SeparatorSplit>>& separators,
+    const std::vector<Level1Label>& labels,
+    const std::vector<Level2Label>& registrant_sub_labels, ParsedWhois& out,
+    FieldRouteCache& cache);
 
 }  // namespace whoiscrf::whois

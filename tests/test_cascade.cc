@@ -2,7 +2,10 @@
 // pure-CRF field agreement on the labeled corpus, shadow-sample
 // disagreement accounting, and fail-closed fallthrough (docs/cascade.md).
 // The concurrency test is exercised by the -DWHOISCRF_TSAN=ON CI job.
+#include <cctype>
+#include <cstdlib>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -330,6 +333,118 @@ TEST_F(CascadeTest, ConcurrentParseIsSafe) {
   }
   // Every 2nd cheap-path record across all threads was sampled.
   EXPECT_EQ(snapshot_samples, (cheap + 1) / 2);
+}
+
+// Checks the Prometheus text exposition format line by line: comments,
+// or `name{label="value",...} number` where label values use only the
+// \\, \" and \n escapes. Returns the first offending line, or "".
+std::string FirstInvalidExpositionLine(const std::string& text) {
+  const auto name_char = [](char c, bool first) {
+    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' ||
+           c == ':' || (!first && std::isdigit(static_cast<unsigned char>(c)));
+  };
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    size_t pos = 0;
+    while (pos < line.size() && name_char(line[pos], pos == 0)) ++pos;
+    if (pos == 0) return line;
+    if (pos < line.size() && line[pos] == '{') {
+      ++pos;
+      bool closed = false;
+      while (pos < line.size() && !closed) {
+        const size_t name_start = pos;
+        while (pos < line.size() && name_char(line[pos], pos == name_start)) {
+          ++pos;
+        }
+        if (pos == name_start || line.compare(pos, 2, "=\"") != 0) {
+          return line;
+        }
+        pos += 2;
+        bool value_closed = false;
+        while (pos < line.size() && !value_closed) {
+          const char c = line[pos++];
+          if (c == '"') {
+            value_closed = true;
+          } else if (c == '\\') {
+            if (pos == line.size()) return line;
+            const char e = line[pos++];
+            if (e != '\\' && e != '"' && e != 'n') return line;
+          }
+        }
+        if (!value_closed || pos == line.size()) return line;
+        if (line[pos] == ',') {
+          ++pos;
+        } else if (line[pos] == '}') {
+          ++pos;
+          closed = true;
+        } else {
+          return line;
+        }
+      }
+      if (!closed) return line;
+    }
+    if (pos >= line.size() || line[pos] != ' ') return line;
+    const std::string value = line.substr(pos + 1);
+    char* end = nullptr;
+    std::strtod(value.c_str(), &end);
+    if (value.empty() || end != value.c_str() + value.size()) return line;
+  }
+  return "";
+}
+
+TEST_F(CascadeTest, ShadowLabelsStayBoundedUnderHostileRegistrars) {
+  // 10k distinct registrar strings full of exposition-format syntax. A raw
+  // newline cannot reach a parsed registrar (it would end the record line),
+  // so the hostile bytes here are quotes, backslashes and a literal "\n"
+  // escape look-alike; raw newlines in label values are covered by
+  // ExporterTest.PrometheusLabelValuesAreEscapedAndRoundTrip.
+  CascadeOptions options;
+  options.shadow_sample_rate = 1.0;
+  const CascadeParser cascade(crf_, HandCorpus(), options);
+  auto& registry = obs::Registry::Global();
+  const uint64_t overflow_before = registry.CounterValue(
+      "whoiscrf_cascade_shadow_label_overflow_total", {});
+  whois::ParseWorkspace ws;
+  size_t sampled = 0, disagreed = 0;
+  for (size_t i = 0; i < 10000; ++i) {
+    const std::string text =
+        "Domain Name: example.com\n"
+        "Registrar: Evil \"R" + std::to_string(i) + "\" \\n {x=\"}\\\n"
+        "Creation Date: 2001-05-10\n"
+        "Registrant Name: John Doe\n"
+        "Registrant Email: john@example.com\n";
+    const CascadeResult result = cascade.Parse(text, ws);
+    ASSERT_EQ(result.tier, Tier::kTemplate) << text;
+    ASSERT_NE(result.parsed.registrar.find('"'), std::string::npos);
+    if (result.shadow_sampled) ++sampled;
+    if (result.shadow_disagreed) ++disagreed;
+  }
+  ASSERT_EQ(sampled, 10000u);
+
+  const auto snapshot = cascade.ShadowSnapshot();
+  EXPECT_EQ(snapshot.size(), CascadeParser::kMaxShadowLabels + 1);
+  ASSERT_EQ(snapshot.count("(other)"), 1u);
+  uint64_t samples = 0, disagreements = 0;
+  for (const auto& [registrar, stats] : snapshot) {
+    samples += stats.samples;
+    disagreements += stats.disagreements;
+  }
+  // Folding loses no sample: the totals are every shadow sample.
+  EXPECT_EQ(samples, sampled);
+  EXPECT_EQ(disagreements, disagreed);
+  const uint64_t folded = snapshot.at("(other)").samples;
+  EXPECT_EQ(folded, 10000u - CascadeParser::kMaxShadowLabels);
+  EXPECT_EQ(registry.CounterValue(
+                "whoiscrf_cascade_shadow_label_overflow_total", {}) -
+                overflow_before,
+            folded);
+
+  const std::string exposition = registry.RenderPrometheus();
+  EXPECT_EQ(FirstInvalidExpositionLine(exposition), "");
+  EXPECT_NE(exposition.find("registrar=\"Evil \\\"R0\\\" \\\\n {x=\\\"}\\\\\""),
+            std::string::npos);
 }
 
 }  // namespace

@@ -1,4 +1,12 @@
 // JSON writer and WHOIS record export (plain + RDAP-flavored).
+#include <cfloat>
+#include <cstdint>
+#include <climits>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -90,6 +98,73 @@ TEST(JsonWriterTest, DoubleFormatting) {
   util::JsonWriter json;
   json.BeginArray().Double(0.5).Double(1e308 * 10).EndArray();
   EXPECT_EQ(json.str(), "[0.5,null]");  // inf -> null
+}
+
+// The writer's number text must stay byte-identical to the printf forms
+// it replaced ("%.12g" for doubles, "%lld" for ints).
+std::string WriteNumber(double v) {
+  util::JsonWriter json;
+  json.Double(v);
+  return json.str();
+}
+
+std::string WriteNumber(long long v) {
+  util::JsonWriter json;
+  json.Int(v);
+  return json.str();
+}
+
+std::string Printf(const char* fmt, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), fmt, v);
+  return buf;
+}
+
+TEST(JsonWriterTest, NumbersMatchPrintfOverEdgeAndRandomValues) {
+  std::vector<double> doubles = {0.0,
+                                 -0.0,
+                                 1.0,
+                                 -1.0,
+                                 0.1,
+                                 1.0 / 3.0,
+                                 123456789012.0,
+                                 1234567890123.0,
+                                 999999999999.5,
+                                 1e-5,
+                                 1e-4,
+                                 1e21,
+                                 1e22,
+                                 DBL_MAX,
+                                 -DBL_MAX,
+                                 DBL_MIN,
+                                 DBL_TRUE_MIN,
+                                 DBL_MIN / 3,
+                                 std::nextafter(1.0, 2.0),
+                                 std::nextafter(1.0, 0.0)};
+  for (int e = -1074; e <= 1023; ++e) doubles.push_back(std::ldexp(1.0, e));
+  std::mt19937_64 rng(29);
+  for (int i = 0; i < 200000; ++i) {
+    const uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (std::isfinite(v)) doubles.push_back(v);
+  }
+  std::uniform_real_distribution<double> unit(-1e6, 1e6);
+  for (int i = 0; i < 100000; ++i) doubles.push_back(unit(rng));
+  for (const double v : doubles) {
+    ASSERT_EQ(WriteNumber(v), Printf("%.12g", v)) << std::hexfloat << v;
+  }
+
+  std::vector<long long> ints = {0, 1, -1, 9, 10, -10, LLONG_MAX, LLONG_MIN,
+                                 LLONG_MIN + 1, 1000000007};
+  for (int i = 0; i < 100000; ++i) {
+    ints.push_back(static_cast<long long>(rng()) >> (rng() % 64));
+  }
+  for (const long long v : ints) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld", v);
+    ASSERT_EQ(WriteNumber(v), buf);
+  }
 }
 
 TEST(JsonWriterTest, FieldIfNonEmptySkipsEmpty) {

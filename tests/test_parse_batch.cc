@@ -9,6 +9,7 @@
 // log_prob. Run them in a -DWHOISCRF_TSAN=ON build tree to check the
 // parallel path under ThreadSanitizer.
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "datagen/corpus_gen.h"
 #include "obs/metrics.h"
 #include "text/line_splitter.h"
+#include "text/separator.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "whois/json_export.h"
@@ -227,6 +229,7 @@ TEST(FieldRouteCacheTest, StaysBoundedUnderUniqueTitles) {
       Level1Label::kDate, Level1Label::kRegistrant};
   const std::vector<Level2Label> subs = {Level2Label::kName};
   FieldRouteCache cache;
+  std::vector<std::optional<text::SeparatorSplit>> separators;
   size_t max_size = 0;
   for (size_t r = 0; r < 100000; ++r) {
     const std::string n = std::to_string(r);
@@ -237,8 +240,9 @@ TEST(FieldRouteCacheTest, StaysBoundedUnderUniqueTitles) {
     text += "Name " + n + ": Person " + n + "\n";
     const auto lines = text::SplitRecord(text);
     ASSERT_EQ(lines.size(), labels.size());
+    text::FindSeparators(lines, separators);
     ParsedWhois cached, reference;
-    ExtractFieldsCached(lines, labels, subs, cached, cache);
+    ExtractFieldsCached(lines, separators, labels, subs, cached, cache);
     ExtractFields(lines, labels, subs, reference);
     max_size = std::max(max_size, cache.by_title.size());
     if (r % 997 == 0) {
