@@ -1,16 +1,19 @@
 #include "bench_common.h"
 
-#include <unistd.h>
-
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+#include <stdexcept>
 
 #include "datagen/country_data.h"
+#include "datagen/pools.h"
 #include "survey/build.h"
+#include "survey/normalize.h"
+#include "util/checkpoint.h"
 #include "util/env.h"
 #include "util/string_util.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace whoiscrf::bench {
 
@@ -48,14 +51,6 @@ whois::WhoisParser TrainParser(
   options.trainer.l2_sigma = 10.0;
   options.trainer.lbfgs.max_iterations = 150;
   return whois::WhoisParser::Train(train, options);
-}
-
-survey::SurveyDatabase BuildBenchDatabase(
-    const datagen::CorpusGenerator& generator, size_t train_count,
-    size_t count) {
-  const auto train = TakeRecords(generator, 0, train_count);
-  const whois::WhoisParser parser = TrainParser(train);
-  return survey::BuildDatabase(generator, parser, count);
 }
 
 ErrorRates EvaluateStatistical(
@@ -150,76 +145,90 @@ size_t SharedSurveyCount() { return util::Scaled(20000, 2000); }
 namespace {
 
 std::string CachePath() {
-  return util::Format("/tmp/whoiscrf_survey_cache_%llu_%zu_%zu.tsv",
+  return util::Format("/tmp/whoiscrf_bench_survey_%llu_%zu_%zu.acc",
                       static_cast<unsigned long long>(kCorpusSeed),
                       SharedSurveyTrainCount(), SharedSurveyCount());
 }
 
-bool LoadCache(const std::string& path, survey::SurveyDatabase& db) {
-  std::ifstream is(path);
-  if (!is) return false;
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto f = util::Split(line, '\t');
-    if (f.size() != 9) return false;
-    survey::DomainRow row;
-    row.domain = std::string(f[0]);
-    row.registrar = std::string(f[1]);
-    row.created_year = std::atoi(std::string(f[2]).c_str());
-    row.country_code = std::string(f[3]);
-    row.registrant_name = std::string(f[4]);
-    row.registrant_org = std::string(f[5]);
-    row.privacy_protected = f[6] == "1";
-    row.privacy_service = std::string(f[7]);
-    row.on_dbl = f[8] == "1";
-    db.Add(std::move(row));
+// Generates and parses the first `count` corpus domains in chunks on one
+// thread pool (ParseBatch for the parse) and folds one row per domain
+// into the accumulator. The domain and its DBL listing come from the
+// generator's facts. When the thick record names no registrar, the row
+// takes it from the thin registry record, which the crawl pipeline also
+// holds (§2.2).
+survey::SurveyAccumulator BuildSurvey(const datagen::CorpusGenerator& generator,
+                                      const whois::WhoisParser& parser,
+                                      size_t count) {
+  std::vector<std::string> brands;
+  for (const auto& brand : datagen::pools::Brands()) {
+    brands.emplace_back(brand.company);
   }
-  return db.size() == SharedSurveyCount();
-}
-
-void SaveCache(const std::string& path, const survey::SurveyDatabase& db) {
-  // Write-then-rename so concurrent benches (ctest -j runs several at
-  // once) never observe a torn cache file.
-  const std::string tmp =
-      util::Format("%s.tmp.%d", path.c_str(), static_cast<int>(getpid()));
-  {
-    std::ofstream os(tmp);
-    if (!os) return;
-    for (const auto& r : db.rows()) {
-      os << r.domain << '\t' << r.registrar << '\t' << r.created_year << '\t'
-         << r.country_code << '\t' << r.registrant_name << '\t'
-         << r.registrant_org << '\t' << (r.privacy_protected ? 1 : 0) << '\t'
-         << r.privacy_service << '\t' << (r.on_dbl ? 1 : 0) << '\n';
-    }
-    if (!os.good()) {
-      os.close();
-      std::remove(tmp.c_str());
-      return;
+  survey::SurveyAccumulator acc(std::move(brands));
+  const survey::SurveyNormalizer normalizer(generator.registrars());
+  util::ThreadPool pool(0);
+  constexpr size_t kChunk = 1024;
+  std::vector<datagen::DomainFacts> facts;
+  std::vector<std::string> texts;
+  for (size_t begin = 0; begin < count; begin += kChunk) {
+    const size_t end = std::min(count, begin + kChunk);
+    facts.resize(end - begin);
+    texts.resize(end - begin);
+    pool.ParallelFor(end - begin, [&](size_t k) {
+      datagen::GeneratedDomain domain = generator.Generate(begin + k);
+      facts[k] = std::move(domain.facts);
+      texts[k] = std::move(domain.thick.text);
+    });
+    const std::vector<whois::ParsedWhois> parsed =
+        parser.ParseBatch(texts, pool);
+    for (size_t k = 0; k < facts.size(); ++k) {
+      survey::DomainRow row = survey::RowFromParse(
+          facts[k].domain, parsed[k], normalizer, facts[k].on_dbl);
+      if (row.registrar.empty()) {
+        row.registrar =
+            normalizer.NormalizeRegistrar(facts[k].registrar_name);
+      }
+      acc.Add(row);
     }
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) std::remove(tmp.c_str());
+  return acc;
 }
 
 }  // namespace
 
-survey::SurveyDatabase SharedSurveyDatabase() {
+survey::SurveyAccumulator SharedSurveyAccumulator() {
   const std::string path = CachePath();
-  survey::SurveyDatabase cached;
-  if (LoadCache(path, cached)) {
-    std::fprintf(stderr, "[bench] using cached survey database %s (%zu rows)\n",
-                 path.c_str(), cached.size());
-    return cached;
+  try {
+    std::string blob;
+    if (util::ReadFileToString(path, blob)) {
+      survey::SurveyAccumulator cached =
+          survey::SurveyAccumulator::Deserialize(blob);
+      if (cached.records() == SharedSurveyCount()) {
+        std::fprintf(stderr,
+                     "[bench] using cached survey state %s (%zu records)\n",
+                     path.c_str(), SharedSurveyCount());
+        return cached;
+      }
+    }
+  } catch (const std::runtime_error&) {
+    // Unreadable or malformed cache: rebuild below and overwrite it.
   }
   std::fprintf(stderr,
                "[bench] training parser (%zu records) and parsing %zu domains"
                " (cached at %s for the other survey benches)\n",
                SharedSurveyTrainCount(), SharedSurveyCount(), path.c_str());
   const auto generator = MakeSurveyGenerator(SharedSurveyCount());
-  survey::SurveyDatabase db =
-      BuildBenchDatabase(generator, SharedSurveyTrainCount(),
-                         SharedSurveyCount());
-  SaveCache(path, db);
-  return db;
+  const whois::WhoisParser parser =
+      TrainParser(TakeRecords(generator, 0, SharedSurveyTrainCount()));
+  survey::SurveyAccumulator acc =
+      BuildSurvey(generator, parser, SharedSurveyCount());
+  // Write-then-rename, so concurrent benches (ctest -j runs several at
+  // once) never observe a torn cache file. A failed write only costs the
+  // next bench a rebuild.
+  try {
+    util::AtomicWriteFile(path, acc.Serialize());
+  } catch (const std::runtime_error&) {
+  }
+  return acc;
 }
 
 void PrintHeader(const std::string& artifact, const std::string& what) {

@@ -11,8 +11,7 @@
 
 #include "baselines/rule_parser.h"
 #include "datagen/corpus_gen.h"
-#include "survey/aggregates.h"
-#include "survey/database.h"
+#include "survey/accumulator.h"
 #include "whois/whois_parser.h"
 
 namespace whoiscrf::bench {
@@ -34,17 +33,13 @@ std::vector<whois::LabeledRecord> TakeRecords(
 // Trains the two-level statistical parser with bench-standard settings.
 whois::WhoisParser TrainParser(const std::vector<whois::LabeledRecord>& train);
 
-// Trains the parser and builds the parsed survey database over `count`
-// corpus domains (the §6 pipeline). Training uses `train_count` records.
-survey::SurveyDatabase BuildBenchDatabase(
-    const datagen::CorpusGenerator& generator, size_t train_count,
-    size_t count);
-
-// The survey database every §6 bench runs on: train on `train` records,
-// parse `count` domains of the survey corpus. Results are cached on disk
-// (keyed by seed/train/count) so the nine table/figure benches share one
-// training + parsing pass.
-survey::SurveyDatabase SharedSurveyDatabase();
+// The survey every §6 bench reads: train the parser on
+// SharedSurveyTrainCount() records, parse SharedSurveyCount() domains of
+// the survey corpus, and fold their rows into one SurveyAccumulator that
+// tracks the Table 4 brands. The accumulator's serialized state is cached
+// on disk (keyed by seed/train/count) so the nine table/figure benches
+// share one training + parsing pass.
+survey::SurveyAccumulator SharedSurveyAccumulator();
 size_t SharedSurveyTrainCount();
 size_t SharedSurveyCount();
 

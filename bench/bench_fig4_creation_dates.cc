@@ -10,10 +10,10 @@ int main() {
   bench::PrintHeader("Figure 4",
                      "creation-date histogram and country proportions");
 
-  const auto db = bench::SharedSurveyDatabase();
+  const auto acc = bench::SharedSurveyAccumulator();
 
   // (a) Histogram, rendered as an ASCII bar chart.
-  const auto hist = survey::CreationHistogram(db);
+  const auto hist = acc.CreationHistogram();
   size_t max_count = 1;
   for (const auto& [year, count] : hist) max_count = std::max(max_count, count);
   std::printf("\n(a) domains by creation year\n");
@@ -30,7 +30,7 @@ int main() {
   std::printf("%4s %8s %7s %7s %7s %7s %7s %7s %7s %7s\n", "year", "total",
               "Private", "Unknown", "Other", "US", "CN", "GB", "FR", "DE");
   for (const auto& comp :
-       survey::CountryProportionsByYear(db, countries, 1995, 2014)) {
+       acc.CountryProportionsByYear(countries, 1995, 2014)) {
     std::printf("%4d %8zu %7.3f %7.3f %7.3f %7.3f %7.3f %7.3f %7.3f %7.3f\n",
                 comp.year, comp.total, comp.shares.at("Private"),
                 comp.shares.at("Unknown"), comp.shares.at("Other"),

@@ -8,11 +8,11 @@ int main() {
   using namespace whoiscrf;
   bench::PrintHeader("Figure 5", "top registrant countries per registrar");
 
-  const auto db = bench::SharedSurveyDatabase();
+  const auto acc = bench::SharedSurveyAccumulator();
   const std::vector<std::string> registrars = {"eNom", "HiChina",
                                                "GMO Internet", "Melbourne IT"};
   for (const auto& registrar : registrars) {
-    const auto result = survey::RegistrarCountryBreakdown(db, registrar, 3);
+    const auto result = acc.RegistrarCountryBreakdown(registrar, 3);
     std::printf("\n%-13s (n=%zu, unknown country: %.1f%%)\n",
                 registrar.c_str(), result.total,
                 result.total == 0

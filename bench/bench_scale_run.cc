@@ -1,5 +1,5 @@
 // Paper-scale harness bench: exercises `scale-run`'s whole contract at
-// bench scale and prices its durability. Four phases:
+// bench scale and prices its durability. Three phases:
 //
 //   1. fresh    — RunScaleRun end to end (generate -> checkpointed store
 //                 -> streaming survey); sustained rps + peak RSS.
@@ -8,10 +8,8 @@
 //   3. kill     — a run aborted mid-stream from its checkpoint callback,
 //                 then resumed; the resumed store bytes and the serialized
 //                 survey accumulator must equal phase 1's exactly.
-//   4. cross    — CrossCheckSurveyPaths: streaming accumulator vs the
-//                 in-memory SurveyDatabase aggregates, compared exactly.
 //
-// checksums_match folds 3 and 4 together, so the bench floor gate
+// checksums_match is phase 3's identity, so the bench floor gate
 // (bench/bench_floor.json "scale_run") fails on any bit-level divergence,
 // not just on slowdowns. Writes BENCH_bench_scale_run.json (override with
 // WHOISCRF_BENCH_OUT).
@@ -89,7 +87,6 @@ uint64_t HashStoreBytes(const std::string& prefix) {
 int Main() {
   const size_t train_count = util::Scaled(300, 100);
   const size_t count = util::Scaled(50000, 2000);
-  const size_t cross_count = util::Scaled(2000, 500);
 
   PrintHeader("scale_run",
               "paper-scale harness: durability cost + survey bit-identity");
@@ -159,16 +156,7 @@ int Main() {
       resumed.survey.Serialize() == fresh_survey &&
       HashStoreBytes(resume_prefix) == fresh_hash;
 
-  // Phase 4: streaming accumulator vs in-memory survey aggregates.
-  std::string cross_detail;
-  bool cross_matches = false;
-  {
-    whois::StreamPipelineOptions pipeline;
-    cross_matches = survey::CrossCheckSurveyPaths(
-        parser, generator, pipeline, cross_count, &cross_detail);
-  }
-
-  const bool checksums_match = resume_matches && cross_matches;
+  const bool checksums_match = resume_matches;
   const double durability_overhead_pct =
       plain_rps > 0.0 ? (1.0 - fresh.sustained_rps / plain_rps) * 100.0 : 0.0;
   const double checkpoint_overhead_pct =
@@ -186,11 +174,6 @@ int Main() {
   std::printf("kill+resume: %s (skipped %llu past the kill checkpoint)\n",
               resume_matches ? "byte-identical" : "MISMATCH",
               static_cast<unsigned long long>(resumed.skipped));
-  if (cross_matches) {
-    std::printf("survey cross-check:  identical\n");
-  } else {
-    std::printf("survey cross-check:  MISMATCH: %s\n", cross_detail.c_str());
-  }
   std::printf("peak RSS: %ld KiB\n", peak_rss_kb);
 
   const char* out_env = std::getenv("WHOISCRF_BENCH_OUT");
@@ -211,9 +194,6 @@ int Main() {
   os << "  \"run_seconds\": " << fresh.run_seconds << ",\n";
   os << "  \"resume_skipped\": " << resumed.skipped << ",\n";
   os << "  \"resume_matches\": " << (resume_matches ? "true" : "false")
-     << ",\n";
-  os << "  \"cross_check_records\": " << cross_count << ",\n";
-  os << "  \"cross_matches\": " << (cross_matches ? "true" : "false")
      << ",\n";
   os << "  \"checksums_match\": " << (checksums_match ? "true" : "false")
      << ",\n";

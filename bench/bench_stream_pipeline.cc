@@ -21,7 +21,9 @@
 
 #include "bench_common.h"
 #include "obs/metrics.h"
+#include "survey/accumulator.h"
 #include "survey/build.h"
+#include "survey/normalize.h"
 #include "util/chunk_reader.h"
 #include "util/env.h"
 #include "util/string_util.h"
@@ -186,17 +188,23 @@ int Main() {
   const PhaseResult stream_large =
       StreamFile(parser, large_path, options, &large_stats);
 
-  // Streaming survey build over the small corpus: rows assembled straight
-  // off the pipeline, corpus never resident.
+  // Streaming survey over the small corpus: rows folded into the
+  // accumulator straight off the pipeline, corpus never resident.
   PhaseResult survey_stream;
   {
     const auto start = Clock::now();
     util::FileByteSource bytes(small_path);
     whois::TextRecordSource source(bytes);
-    const survey::SurveyDatabase db = survey::BuildDatabaseFromStream(
-        source, parser, generator.registrars(), options);
-    survey_stream.records = db.size();
-    survey_stream.checksum = static_cast<double>(db.size());
+    const survey::SurveyNormalizer normalizer(generator.registrars());
+    survey::SurveyAccumulator acc;
+    whois::ParseStream(
+        parser, source, options,
+        [&](uint64_t, const std::string&, const whois::ParsedWhois& parsed) {
+          acc.Add(survey::RowFromParse(parsed.domain_name, parsed, normalizer,
+                                       /*on_dbl=*/false));
+        });
+    survey_stream.records = acc.records();
+    survey_stream.checksum = static_cast<double>(acc.records());
     FinishPhase(survey_stream, start);
   }
 

@@ -9,17 +9,17 @@ int main() {
   using namespace whoiscrf;
   bench::PrintHeader("Table 3", "top registrant countries");
 
-  const auto db = bench::SharedSurveyDatabase();
+  const auto acc = bench::SharedSurveyAccumulator();
 
   std::printf("\nRegistrants across all time:\n%s\n",
               bench::RenderTopK(
                   "Country",
-                  bench::WithCountryNames(survey::TopCountries(db, 10)))
+                  bench::WithCountryNames(acc.TopCountries(10)))
                   .c_str());
   std::printf("Registrants in 2014:\n%s\n",
               bench::RenderTopK(
                   "Country",
-                  bench::WithCountryNames(survey::TopCountries(db, 10, 2014)))
+                  bench::WithCountryNames(acc.TopCountries(10, 2014)))
                   .c_str());
   std::printf(
       "Paper shape: US first (~48%% all-time, ~41%% in 2014), China second\n"

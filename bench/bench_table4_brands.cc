@@ -11,13 +11,7 @@ int main() {
   using namespace whoiscrf;
   bench::PrintHeader("Table 4", "brand companies with the most com domains");
 
-  const auto db = bench::SharedSurveyDatabase();
-
-  std::vector<std::string> brands;
-  for (const auto& brand : datagen::pools::Brands()) {
-    brands.emplace_back(brand.company);
-  }
-  const auto counts = survey::BrandCounts(db, brands);
+  const auto counts = bench::SharedSurveyAccumulator().BrandCounts();
 
   util::TextTable table({"Company", "Domains", "Paper"});
   for (const auto& row : counts) {

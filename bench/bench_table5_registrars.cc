@@ -7,14 +7,14 @@ int main() {
   using namespace whoiscrf;
   bench::PrintHeader("Table 5", "top registrars");
 
-  const auto db = bench::SharedSurveyDatabase();
+  const auto acc = bench::SharedSurveyAccumulator();
 
   std::printf("\nRegistrations across all time:\n%s\n",
-              bench::RenderTopK("Registrar", survey::TopRegistrars(db, 10))
+              bench::RenderTopK("Registrar", acc.TopRegistrars(10))
                   .c_str());
   std::printf("Registrations in 2014:\n%s\n",
               bench::RenderTopK("Registrar",
-                                survey::TopRegistrars(db, 10, 2014))
+                                acc.TopRegistrars(10, 2014))
                   .c_str());
   std::printf(
       "Paper shape: GoDaddy ~34%% both columns; eNom and Network Solutions\n"

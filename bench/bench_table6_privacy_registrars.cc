@@ -7,21 +7,17 @@ int main() {
   using namespace whoiscrf;
   bench::PrintHeader("Table 6", "registrars of privacy-protected domains");
 
-  const auto db = bench::SharedSurveyDatabase();
+  const auto acc = bench::SharedSurveyAccumulator();
   std::printf("\nRegistrations using privacy protection:\n%s\n",
               bench::RenderTopK("Registrar",
-                                survey::TopPrivacyRegistrars(db, 10))
+                                acc.TopPrivacyRegistrars(10))
                   .c_str());
 
-  size_t privacy = 0;
-  for (const auto& row : db.rows()) {
-    if (row.privacy_protected) ++privacy;
-  }
   std::printf("privacy-protected overall: %.1f%% of %zu domains "
               "(paper: ~20%%)\n",
-              100.0 * static_cast<double>(privacy) /
-                  static_cast<double>(db.size()),
-              db.size());
+              100.0 * static_cast<double>(acc.privacy_rows()) /
+                  static_cast<double>(acc.records()),
+              static_cast<size_t>(acc.records()));
   std::printf(
       "\nPaper shape: GoDaddy ~33%% of protected domains; eNom second;\n"
       "the list largely tracks overall registrar share, with GMO and\n"

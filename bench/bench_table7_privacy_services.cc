@@ -8,10 +8,10 @@ int main() {
   using namespace whoiscrf;
   bench::PrintHeader("Table 7", "privacy protection services");
 
-  const auto db = bench::SharedSurveyDatabase();
+  const auto acc = bench::SharedSurveyAccumulator();
   std::printf("\n%s\n",
               bench::RenderTopK("Protection Service",
-                                survey::TopPrivacyServices(db, 10))
+                                acc.TopPrivacyServices(10))
                   .c_str());
   std::printf(
       "Paper shape: Domains By Proxy ~36%% of protected domains; a long\n"

@@ -8,11 +8,11 @@ int main() {
   using namespace whoiscrf;
   bench::PrintHeader("Table 8", "registrant countries of DBL domains (2014)");
 
-  const auto db = bench::SharedSurveyDatabase();
+  const auto acc = bench::SharedSurveyAccumulator();
   std::printf("\n%s\n",
               bench::RenderTopK(
                   "Country",
-                  bench::WithCountryNames(survey::DblTopCountries(db, 10, 2014)))
+                  bench::WithCountryNames(acc.DblTopCountries(10, 2014)))
                   .c_str());
   std::printf(
       "Paper shape: compared with all registrations (Table 3), Japan,\n"

@@ -8,10 +8,10 @@ int main() {
   using namespace whoiscrf;
   bench::PrintHeader("Table 9", "registrars of DBL domains (2014)");
 
-  const auto db = bench::SharedSurveyDatabase();
+  const auto acc = bench::SharedSurveyAccumulator();
   std::printf("\n%s\n",
               bench::RenderTopK("Registrar",
-                                survey::DblTopRegistrars(db, 10, 2014))
+                                acc.DblTopRegistrars(10, 2014))
                   .c_str());
   std::printf(
       "Paper shape: abuse-implicated registrars (eNom, GMO Internet,\n"

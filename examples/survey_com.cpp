@@ -1,12 +1,13 @@
 // Survey pipeline (paper §6): crawl a simulated .com, parse every thick
-// record with the trained statistical parser, load the fields into the
-// survey database, and print the registrant / registrar / privacy views.
+// record with the trained statistical parser, fold the fields into the
+// survey accumulator, and print the registrant / registrar / privacy
+// views.
 #include <cstdio>
 
 #include "datagen/corpus_gen.h"
 #include "net/crawler.h"
 #include "net/simulation.h"
-#include "survey/aggregates.h"
+#include "survey/accumulator.h"
 #include "survey/build.h"
 #include "util/string_util.h"
 #include "util/table.h"
@@ -40,7 +41,7 @@ int main() {
   net::Crawler crawler(*sim.network, clock, crawl_options);
   std::printf("crawling %zu domains...\n", sim.zone_domains.size());
 
-  survey::SurveyDatabase db;
+  survey::SurveyAccumulator acc;
   for (const auto& result : crawler.CrawlAll(sim.zone_domains)) {
     if (result.status != net::CrawlResult::Status::kOk) continue;
     const auto parsed = parser.Parse(result.thick);
@@ -51,12 +52,12 @@ int main() {
     if (row.registrar.empty()) {
       row.registrar = truth.facts.registrar_name;  // thin-record fallback
     }
-    db.Add(std::move(row));
+    acc.Add(row);
   }
   std::printf("parsed %zu records into the survey database "
               "(crawl: %zu ok, %zu no-match, %zu failed)\n\n",
-              db.size(), crawler.stats().ok, crawler.stats().no_match,
-              crawler.stats().failed);
+              static_cast<size_t>(acc.records()), crawler.stats().ok,
+              crawler.stats().no_match, crawler.stats().failed);
 
   auto print_topk = [](const char* title, const survey::TopKResult& result) {
     std::printf("%s\n", title);
@@ -68,11 +69,11 @@ int main() {
     std::printf("%s\n", table.Render().c_str());
   };
 
-  print_topk("Top registrant countries:", survey::TopCountries(db, 5));
-  print_topk("Top registrars:", survey::TopRegistrars(db, 5));
-  print_topk("Top privacy services:", survey::TopPrivacyServices(db, 5));
+  print_topk("Top registrant countries:", acc.TopCountries(5));
+  print_topk("Top registrars:", acc.TopRegistrars(5));
+  print_topk("Top privacy services:", acc.TopPrivacyServices(5));
 
-  const auto hist = survey::CreationHistogram(db);
+  const auto hist = acc.CreationHistogram();
   std::printf("registrations by creation year (last 8 years):\n");
   int shown = 0;
   for (auto it = hist.rbegin(); it != hist.rend() && shown < 8; ++it, ++shown) {

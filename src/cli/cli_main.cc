@@ -50,7 +50,7 @@ void PrintUsage() {
                "  serve   --model FILE [--port N] [--threads K]\n"
                "          [--queue-capacity N] [--cache-entries N]\n"
                "          [--deadline-ms D] [--max-record-bytes N]\n"
-               "          [--serve-frontend epoll|threads] [--event-loops N]\n"
+               "          [--event-loops N]\n"
                "          [--model-watch [--model-watch-ms MS]]\n"
                "          [--cascade-data FILE [--shadow-rate R]]\n"
                "  shard-router\n"
@@ -62,7 +62,7 @@ void PrintUsage() {
                "          [--train-count N] [--resume]\n"
                "  scale-run\n"
                "          --out PREFIX [--count N] [--smoke] [--resume]\n"
-               "          [--cascade [--shadow-rate R]] [--self-check N]\n"
+               "          [--cascade [--shadow-rate R]]\n"
                "          [--tables-out FILE] [--bench-out FILE]\n"
                "  quarantine\n"
                "          (ls | cat --index N | export [--out FILE]) "

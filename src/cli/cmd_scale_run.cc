@@ -3,8 +3,8 @@
 // records, stream it through the checkpointed parse pipeline (optionally
 // the cascade) into a sharded record store, and emit the §6 survey
 // tables from the streaming SurveyAccumulator, all on bounded memory.
-#include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -17,6 +17,7 @@
 #include "obs/metrics.h"
 #include "survey/scale_run.h"
 #include "util/string_util.h"
+#include "whois/stream_checkpoint.h"
 
 namespace whoiscrf::cli {
 
@@ -42,7 +43,7 @@ bool WriteTextFile(const std::string& path, const std::string& text) {
 // section of bench/bench_floor.json).
 bool WriteBenchArtifact(const std::string& path,
                         const survey::ScaleRunResult& result,
-                        uint64_t self_check_records, bool checksums_match) {
+                        bool checksums_match) {
   const double checkpoint_overhead_pct =
       result.run_seconds > 0.0
           ? result.checkpoint_seconds / result.run_seconds * 100.0
@@ -66,13 +67,54 @@ bool WriteBenchArtifact(const std::string& path,
      << ", \"sink_s\": " << result.stats.sink_stall_seconds
      << ", \"batches\": " << result.stats.batches << "},\n";
   os << "  \"peak_rss_kb\": " << result.peak_rss_kb << ",\n";
-  os << "  \"self_check_records\": " << self_check_records << ",\n";
   os << "  \"checksums_match\": " << (checksums_match ? "true" : "false")
      << ",\n";
   os << "  \"metrics\": " << obs::Registry::Global().RenderJson() << "\n";
   os << "}\n";
   os.flush();
   return os.good();
+}
+
+// The run's published durable state must be exactly the run the caller
+// sees: the checkpoint at `prefix` is complete, its cursor accounts for
+// all `count` records, and the survey snapshot inside it restores to the
+// live accumulator byte for byte. This is what a later `--resume`, or a
+// reader of the store, would pick up. Returns false and names the first
+// failed condition in *detail otherwise.
+bool PublishedStateMatches(const std::string& prefix, uint64_t count,
+                           const survey::SurveyAccumulator& live,
+                           std::string* detail) {
+  whois::StreamCheckpoint cp;
+  try {
+    if (!whois::LoadStreamCheckpoint(whois::StreamCheckpointPath(prefix),
+                                     cp)) {
+      *detail = "no checkpoint was published";
+      return false;
+    }
+    if (!cp.complete) {
+      *detail = "the published checkpoint is not complete";
+      return false;
+    }
+    if (cp.consumed != count || cp.store.records + cp.quarantined != count) {
+      *detail = util::Format(
+          "the checkpoint accounts for %llu of %llu records (%llu stored, "
+          "%llu quarantined)",
+          static_cast<unsigned long long>(cp.consumed),
+          static_cast<unsigned long long>(count),
+          static_cast<unsigned long long>(cp.store.records),
+          static_cast<unsigned long long>(cp.quarantined));
+      return false;
+    }
+    if (survey::SurveyAccumulator::Deserialize(cp.aux).Serialize() !=
+        live.Serialize()) {
+      *detail = "the checkpointed survey state differs from the live one";
+      return false;
+    }
+  } catch (const std::exception& e) {
+    *detail = e.what();
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -93,8 +135,6 @@ int CmdScaleRun(util::FlagParser& flags) {
       static_cast<size_t>(smoke_default("train-count", 300, 120));
   const auto checkpoint_interval = static_cast<uint64_t>(
       smoke_default("checkpoint-interval", 65536, 256));
-  auto self_check =
-      static_cast<uint64_t>(smoke_default("self-check", 2000, 500));
   const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const auto events = static_cast<size_t>(flags.GetInt("events", 2));
   const auto threads = static_cast<size_t>(flags.GetInt("threads", 0));
@@ -129,16 +169,6 @@ int CmdScaleRun(util::FlagParser& flags) {
     std::fprintf(stderr, "scale-run: --shadow-rate must be in [0, 1]\n");
     return 2;
   }
-  if (!bench_out.empty() && self_check == 0) {
-    // The bench artifact's checksums_match feeds the floor gate
-    // (require_checksums_match), so a gated run always cross-checks.
-    self_check = 500;
-    std::fprintf(stderr,
-                 "scale-run: --bench-out implies a self-check; using "
-                 "--self-check 500\n");
-  }
-  self_check = std::min<uint64_t>(self_check, count);
-
   datagen::TemporalCorpusOptions corpus_options;
   corpus_options.size = static_cast<size_t>(count);
   corpus_options.seed = seed;
@@ -239,27 +269,20 @@ int CmdScaleRun(util::FlagParser& flags) {
     return 1;
   }
 
-  bool checksums_match = true;
-  if (self_check > 0) {
-    whois::StreamPipelineOptions pipeline;
-    pipeline.threads = threads;
-    pipeline.parse_override = options.parse_override;
-    std::string detail;
-    checksums_match = survey::CrossCheckSurveyPaths(
-        parser, generator, pipeline, self_check, &detail);
-    if (checksums_match) {
-      std::fprintf(stderr,
-                   "scale-run: self-check over %llu records: streaming "
-                   "and in-memory survey paths identical\n",
-                   static_cast<unsigned long long>(self_check));
-    } else {
-      std::fprintf(stderr, "scale-run: SELF-CHECK FAILED: %s\n",
-                   detail.c_str());
-    }
+  std::string detail;
+  const bool checksums_match =
+      PublishedStateMatches(out, count, result.survey, &detail);
+  if (checksums_match) {
+    std::fprintf(stderr,
+                 "scale-run: published checkpoint is complete and its "
+                 "survey snapshot matches the live tables\n");
+  } else {
+    std::fprintf(stderr, "scale-run: PUBLISHED STATE CHECK FAILED: %s\n",
+                 detail.c_str());
   }
 
   if (!bench_out.empty() &&
-      !WriteBenchArtifact(bench_out, result, self_check, checksums_match)) {
+      !WriteBenchArtifact(bench_out, result, checksums_match)) {
     std::fprintf(stderr, "scale-run: cannot write %s\n", bench_out.c_str());
     return 1;
   }

@@ -56,7 +56,6 @@ int CmdServe(util::FlagParser& flags) {
   // Self-drain after N ms, for tests and demos that cannot send signals.
   const auto drain_after_ms =
       static_cast<uint64_t>(flags.GetInt("drain-after-ms", 0));
-  const std::string frontend = flags.GetString("serve-frontend");
   const auto event_loops =
       static_cast<size_t>(flags.GetInt("event-loops", 1));
   const auto writeq_max_bytes = static_cast<size_t>(
@@ -102,14 +101,6 @@ int CmdServe(util::FlagParser& flags) {
     std::fprintf(stderr, "serve: --model-watch-ms must be > 0\n");
     return 2;
   }
-  serve::Frontend frontend_mode = serve::Frontend::kEpoll;
-  if (frontend == "threads") {
-    frontend_mode = serve::Frontend::kThreads;
-  } else if (!frontend.empty() && frontend != "epoll") {
-    std::fprintf(stderr,
-                 "serve: --serve-frontend must be 'epoll' or 'threads'\n");
-    return 2;
-  }
 
   // Held by shared_ptr so the hot-swap path can retire it only after the
   // last in-flight request drops its snapshot; without --model-watch the
@@ -130,7 +121,6 @@ int CmdServe(util::FlagParser& flags) {
   serve::ParseServerOptions options;
   options.port = port;
   options.max_frame_bytes = max_record_bytes;
-  options.frontend = frontend_mode;
   options.event_loops = event_loops;
   options.write_queue_max_bytes = writeq_max_bytes;
   options.listen_backlog = listen_backlog;
@@ -154,10 +144,9 @@ int CmdServe(util::FlagParser& flags) {
   }
 
   std::fprintf(stderr,
-               "serve: listening on 127.0.0.1:%u (%s frontend, %zu workers, "
-               "queue %zu, cache %zu entries%s)\n",
+               "serve: listening on 127.0.0.1:%u (epoll frontend, %zu "
+               "workers, queue %zu, cache %zu entries%s)\n",
                static_cast<unsigned>(server->port()),
-               frontend_mode == serve::Frontend::kEpoll ? "epoll" : "threads",
                server->service().threads(), queue_capacity, cache_entries,
                host ? ", model-watch" : "");
 

@@ -94,7 +94,7 @@ int CmdRetrainLoop(util::FlagParser& flags);
 // whoiscrf scale-run --out PREFIX [--count N] [--seed S] [--events K]
 //                    [--train-count N] [--threads N] [--resume]
 //                    [--checkpoint-interval N] [--cascade [--shadow-rate R]]
-//                    [--smoke] [--self-check N] [--tables-out FILE]
+//                    [--smoke] [--tables-out FILE]
 //                    [--bench-out FILE] [--journal FILE] [--brands A,B]
 // Paper-scale survey harness (ROADMAP 5a): streams a 10-100M-record
 // temporal corpus through the checkpointed parse pipeline into a sharded

@@ -147,13 +147,11 @@ flags:
   --max-record-bytes N   maximum request frame size
   --drain-after-ms MS    self-drain after MS, for tests/demos that cannot
                          send signals (default 0 = run until signaled)
-  --serve-frontend MODE  epoll (default: non-blocking event loops) or
-                         threads (legacy thread-per-connection)
   --event-loops N        event-loop threads multiplexing connections
-                         (epoll frontend; default 1)
+                         (default 1)
   --writeq-max-bytes N   per-connection write-queue bound before the
                          connection stops being read (backpressure;
-                         epoll frontend; default 4194304, 0 = unbounded)
+                         default 4194304, 0 = unbounded)
   --listen-backlog N     listen(2) backlog (default 1024)
   --model-watch          hot model reload (docs/lifecycle.md "Hot swap"):
                          poll --model for changes, load off the serving
@@ -224,7 +222,10 @@ through the checkpointed parse pipeline into a sharded record store at
 and prints the paper's §6 tables. Memory stays bounded at any --count;
 a killed run continues byte-identically with --resume; --bench-out
 writes the BENCH_scale_run.json artifact the nightly scale CI tier
-gates against bench/bench_floor.json.
+gates against bench/bench_floor.json. After the run it reloads the
+published checkpoint and exits 1 unless it is complete, accounts for
+all --count records, and holds a survey snapshot equal to the printed
+tables (the artifact's checksums_match).
 
 flags:
   --out PREFIX           record store + checkpoint prefix (required)
@@ -244,11 +245,8 @@ flags:
                          cascade built from the training prefix
   --shadow-rate R        cascade shadow-sample rate in [0,1] (default 0)
   --smoke                CI-smoke preset: shrinks count/train-count/
-                         checkpoint-interval/self-check defaults;
-                         explicit flags still win
-  --self-check N         cross-check the first N records against the
-                         in-memory survey path (default 2000; --smoke
-                         500; 0 disables unless --bench-out is set)
+                         checkpoint-interval defaults; explicit flags
+                         still win
   --top-k N              rows per survey table (default 10)
   --brands A,B,...       registrant orgs to count exactly (Table 4)
   --tables-out FILE      write the survey tables here instead of stdout

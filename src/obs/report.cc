@@ -53,11 +53,6 @@ void RenderDerived(const Registry& registry, const RunInfo& info,
                     "whoiscrf_crawl_results_total", {{"status", "ok"}})) /
                 static_cast<double>(crawled));
   }
-
-  const auto rows = registry.CounterValue("whoiscrf_survey_rows_total");
-  if (rows > 0 && wall > 0.0) {
-    w.Key("survey_rows_per_sec").Double(static_cast<double>(rows) / wall);
-  }
   w.EndObject();
 }
 

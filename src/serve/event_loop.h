@@ -1,8 +1,8 @@
 // Event-driven serving core: a minimal epoll reactor (EventLoop) plus the
 // non-blocking framed-connection state machine (FrameConn) built on it.
-// This is the front end that replaced thread-per-connection serving — one
-// loop thread multiplexes thousands of sockets instead of parking one
-// thread per client (docs/architecture.md "Event-driven serving").
+// This is the serving front end: one loop thread multiplexes thousands of
+// sockets instead of parking one thread per client (docs/architecture.md
+// "Event-driven serving").
 //
 // EventLoop is a plain epoll wrapper: edge-triggered fd readiness
 // dispatched to per-fd handlers, plus a thread-safe Post() queue (eventfd

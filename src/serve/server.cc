@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -310,27 +309,6 @@ void ParseServer::Init() {
       "connections paused because their write queue exceeded the bound");
 
   listen_fd_ = CreateListener(options_.port, options_.listen_backlog, &port_);
-  if (options_.frontend == Frontend::kEpoll) {
-    StartEpoll();
-  } else {
-    accept_thread_ = std::thread([this] { AcceptLoop(); });
-  }
-}
-
-ParseServer::~ParseServer() { Shutdown(); }
-
-void ParseServer::Shutdown() {
-  if (stop_.exchange(true)) return;
-  if (options_.frontend == Frontend::kEpoll) {
-    ShutdownEpoll();
-  } else {
-    ShutdownThreads();
-  }
-}
-
-// --- epoll front end ------------------------------------------------------
-
-void ParseServer::StartEpoll() {
   SetNonBlocking(listen_fd_);
   const size_t n = std::max<size_t>(1, options_.event_loops);
   loops_.reserve(n);
@@ -417,7 +395,10 @@ void ParseServer::AttachConn(LoopCtx* ctx, int fd) {
   conn->Start();
 }
 
-void ParseServer::ShutdownEpoll() {
+ParseServer::~ParseServer() { Shutdown(); }
+
+void ParseServer::Shutdown() {
+  if (stop_.exchange(true)) return;
   // 1. Stop accepting: the listener lives on loop 0, so close it there.
   std::promise<void> closed;
   loops_[0]->loop.Post([this, &closed] {
@@ -477,81 +458,6 @@ void ParseServer::ShutdownEpoll() {
   }
   watch->cv.notify_all();
   watchdog.join();
-}
-
-// --- threads front end ----------------------------------------------------
-
-void ParseServer::AcceptLoop() {
-  while (!stop_.load()) {
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (stop_.load()) return;
-      continue;
-    }
-    SetTcpNoDelay(client);
-    connections_total_->Inc();
-    active_connections_->Add(1.0);
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_fds_.insert(client);
-    conn_threads_.emplace_back(
-        [this, client] { ServeConnection(client); });
-  }
-}
-
-void ParseServer::ServeConnection(int client_fd) {
-  FdStream stream(client_fd);
-  std::string payload;
-  while (true) {
-    const FrameRead read = ReadFrame(stream, payload, options_.max_frame_bytes);
-    if (read == FrameRead::kTooLarge) {
-      // The oversized payload is still on the wire; answer and close
-      // rather than consume an attacker-chosen number of bytes.
-      WriteResponse(stream, Status::kError, "frame too large");
-      break;
-    }
-    if (read != FrameRead::kFrame) break;  // EOF or torn frame
-    const ServeResult result = service_.Handle(std::move(payload));
-    payload.clear();
-    if (!WriteResponse(stream, result.status, result.body)) break;
-  }
-  // Erase + close under the lock: Shutdown() walks conn_fds_ to shut down
-  // blocked readers, so an fd may only be closed (and its number recycled)
-  // while no such walk can be in flight.
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_fds_.erase(client_fd);
-    ::shutdown(client_fd, SHUT_RDWR);
-    ::close(client_fd);
-  }
-  active_connections_->Add(-1.0);
-}
-
-void ParseServer::ShutdownThreads() {
-  // Wake the accept loop with shutdown() only: the blocked (and any
-  // subsequent) accept() fails immediately, but the fd number stays
-  // reserved until after the join, so AcceptLoop never reads a closed —
-  // possibly recycled — fd and listen_fd_ is only written once the
-  // thread is gone.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  // Every already-admitted request finishes and its response is written by
-  // the connection thread that is waiting on it.
-  service_.Drain();
-  // Unblock readers idling on their next frame; their threads then exit.
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) t.join();
 }
 
 }  // namespace whoiscrf::serve

@@ -20,21 +20,14 @@
 //   * whoiscrf_serve_* metrics and the serve.request trace span
 //     (docs/observability.md).
 //
-// ParseServer is the TCP front end, in one of two modes
-// (docs/architecture.md "Event-driven serving"):
-//
-//   * Frontend::kEpoll (default): a configurable number of event-loop
-//     threads (serve/event_loop.h) multiplex every connection with
-//     edge-triggered epoll — incremental frame assembly, per-connection
-//     ordered response slots so pipelined replies stay in request order
-//     even though workers finish out of order, and write-queue
-//     backpressure that stops reading a connection whose responses back
-//     up. Completions hop from the worker thread back to the owning loop
-//     via EventLoop::Post.
-//   * Frontend::kThreads: the legacy thread-per-connection front end, one
-//     blocking reader thread per connection handling requests
-//     synchronously — kept as a comparison/fallback mode behind
-//     `--serve-frontend=threads`.
+// ParseServer is the TCP front end (docs/architecture.md "Event-driven
+// serving"): a configurable number of event-loop threads
+// (serve/event_loop.h) multiplex every connection with edge-triggered
+// epoll — incremental frame assembly, per-connection ordered response
+// slots so pipelined replies stay in request order even though workers
+// finish out of order, and write-queue backpressure that stops reading a
+// connection whose responses back up. Completions hop from the worker
+// thread back to the owning loop via EventLoop::Post.
 #pragma once
 
 #include <atomic>
@@ -129,7 +122,8 @@ class ParseService {
   // SubmitAsync wrapped in a future.
   std::future<ServeResult> Submit(std::string record);
 
-  // Submit + wait; the synchronous path connection threads use.
+  // Submit + wait; the synchronous path for callers that own a thread
+  // (tests, the router's health probe).
   ServeResult Handle(std::string record);
 
   // Graceful drain: stop admitting (Submit answers kBusy), finish every
@@ -191,12 +185,6 @@ class ParseService {
   Metrics metrics_;
 };
 
-// TCP front-end flavor; `--serve-frontend`.
-enum class Frontend {
-  kEpoll,    // non-blocking event loops (default)
-  kThreads,  // legacy thread-per-connection
-};
-
 struct ParseServerOptions {
   ParseServiceOptions service;
   // TCP port on 127.0.0.1; 0 = ephemeral (read the bound port back with
@@ -205,18 +193,17 @@ struct ParseServerOptions {
   // Cap on one request frame; larger length prefixes draw kError and the
   // connection closes (the payload cannot be skipped safely).
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  Frontend frontend = Frontend::kEpoll;
-  // Event-loop threads multiplexing connections (epoll front end only);
-  // 0 = 1. Accepted connections are spread round-robin.
+  // Event-loop threads multiplexing connections; 0 = 1. Accepted
+  // connections are spread round-robin.
   size_t event_loops = 1;
   // Per-connection write-queue bound: a connection whose unsent response
   // bytes exceed this stops being read until the peer drains to half the
-  // bound; 0 = unbounded (epoll front end only).
+  // bound; 0 = unbounded.
   size_t write_queue_max_bytes = 4u << 20;
   // listen(2) backlog.
   int listen_backlog = 1024;
   // Shutdown grace for flushing responses to slow readers before their
-  // connections are force-closed (epoll front end only).
+  // connections are force-closed.
   uint64_t drain_flush_ms = 5000;
 };
 
@@ -239,7 +226,7 @@ class ParseServer {
   // Graceful shutdown: stop accepting, drain the service (every admitted
   // request is answered and written), flush per-connection write queues
   // (bounded by drain_flush_ms for peers that stop reading), then stop
-  // the front-end threads. Idempotent; also run by the destructor.
+  // the event-loop threads. Idempotent; also run by the destructor.
   void Shutdown();
 
  private:
@@ -253,15 +240,9 @@ class ParseServer {
     bool draining = false;
   };
 
-  void Init();  // shared constructor tail: metrics, listener, front end
-  void StartEpoll();
+  void Init();  // shared constructor tail: metrics, listener, loops
   void AcceptReady();  // loop 0: accept until EAGAIN, spread round-robin
   void AttachConn(LoopCtx* ctx, int fd);
-  void ShutdownEpoll();
-
-  void AcceptLoop();  // threads front end
-  void ServeConnection(int client_fd);
-  void ShutdownThreads();
 
   const ParseServerOptions options_;
   ParseService service_;
@@ -269,16 +250,9 @@ class ParseServer {
   uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
 
-  // Epoll front end.
   std::vector<std::unique_ptr<LoopCtx>> loops_;
   size_t next_loop_ = 0;  // round-robin cursor; loop-0-thread-only
   std::atomic<int64_t> writeq_total_{0};
-
-  // Threads front end.
-  std::thread accept_thread_;
-  std::mutex conn_mu_;  // guards conn_fds_ and conn_threads_
-  std::unordered_set<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
 
   obs::Counter* connections_total_ = nullptr;
   obs::Gauge* active_connections_ = nullptr;

@@ -43,6 +43,34 @@ void AppendCountMap(std::string& out, const char* key,
   }
 }
 
+// Ranking/share core of every top-k query: turns pre-reduced group counts
+// into the sorted top-k with shares and other/unknown buckets. `total` is
+// the number of filtered rows (known + unknown groups) and is the share
+// denominator; ties break by key.
+TopKResult TopKFromCounts(const std::map<std::string, size_t>& counts,
+                          size_t total, size_t unknown, size_t k) {
+  TopKResult result;
+  result.total = total;
+  result.unknown_count = unknown;
+  std::vector<std::pair<std::string, size_t>> sorted(counts.begin(),
+                                                     counts.end());
+  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;  // deterministic tie-break
+  });
+  const double denom = total > 0 ? static_cast<double>(total) : 1.0;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (i < k) {
+      result.top.push_back(CountRow{sorted[i].first, sorted[i].second,
+                                    static_cast<double>(sorted[i].second) /
+                                        denom});
+    } else {
+      result.other_count += sorted[i].second;
+    }
+  }
+  return result;
+}
+
 }  // namespace
 
 SurveyAccumulator::SurveyAccumulator(std::vector<std::string> brands)
@@ -98,7 +126,7 @@ void SurveyAccumulator::Add(const DomainRow& row) {
   } else {
     // Figure 5 reads the country mix of one registrar's non-privacy rows;
     // the registrar key may itself be empty (unattributed rows form their
-    // own slot, matching the database filter `registrar == ""`).
+    // own slot, so RegistrarCountryBreakdown("") reports them).
     RegistrarSlot& reg = registrar_countries_[row.registrar];
     ++reg.rows;
     if (row.country_code.empty()) {

@@ -1,15 +1,14 @@
-// SurveyAccumulator: the streaming counterpart of SurveyDatabase +
-// aggregates.h. SurveyDatabase materializes one DomainRow per record —
-// fine for bench-scale corpora, ruinous for the paper's 102M-record
-// census. The accumulator instead folds each row into the aggregate
-// tables the §6 queries actually read, so its state is
-// O(years × (registrars + countries)) — bounded by key cardinality,
-// independent of record count (tests/test_survey.cc asserts this).
+// SurveyAccumulator: the §6 survey as a set of group-by counts. Each
+// parsed row is folded into the aggregate tables the §6 queries read, so
+// the state is O(years × (registrars + countries)) — bounded by key
+// cardinality, independent of record count (tests/test_survey.cc asserts
+// this) — and the paper's 102M-record census runs on bounded memory.
 //
-// Every query reproduces the SurveyDatabase path bit for bit: both sides
-// reduce to integer count maps handed to the shared TopKFromCounts
-// (aggregates.h), so sort order, shares, and other/unknown buckets cannot
-// drift between the in-memory and streaming paths.
+// Every query reduces to integer count maps handed to TopKFromCounts, so
+// sort order, shares, and other/unknown buckets are exactly those of a
+// row-at-a-time group-by over the same rows (tests/test_survey.cc keeps
+// such a naive reference and compares every query with == on the
+// shares).
 //
 // The accumulator serializes to a small versioned text blob
 // (docs/formats.md "Survey accumulator state") so a scale run can ride it
@@ -24,10 +23,31 @@
 #include <string>
 #include <vector>
 
-#include "survey/aggregates.h"
-#include "survey/database.h"
+#include "survey/row.h"
 
 namespace whoiscrf::survey {
+
+struct CountRow {
+  std::string key;
+  size_t count = 0;
+  double share = 0.0;  // of the aggregate's total
+};
+
+struct TopKResult {
+  std::vector<CountRow> top;  // k rows, descending
+  size_t other_count = 0;     // rows beyond the top k (excl. unknown)
+  size_t unknown_count = 0;   // rows with an empty key
+  size_t total = 0;
+};
+
+// Figure 4b: one year's composition: share of each listed country,
+// privacy-protected, unknown, and other.
+struct YearComposition {
+  int year = 0;
+  size_t total = 0;
+  std::map<std::string, double> shares;  // country code / "Private" /
+                                         // "Unknown" / "Other" -> fraction
+};
 
 class SurveyAccumulator {
  public:
@@ -42,9 +62,10 @@ class SurveyAccumulator {
   uint64_t records() const { return records_; }
   uint64_t privacy_rows() const { return privacy_rows_; }
 
-  // Queries mirroring aggregates.h over SurveyDatabase; each returns
-  // exactly what the corresponding free function returns for a database
-  // holding the same rows.
+  // The §6 queries. TopCountries and RegistrarCountryBreakdown exclude
+  // privacy-protected rows (their country cannot be inferred); Dbl*
+  // restrict to DBL-listed rows created in `year`; TopPrivacy* count
+  // privacy-protected rows only.
   TopKResult TopCountries(size_t k,
                           std::optional<int> year = std::nullopt) const;
   TopKResult TopRegistrars(size_t k,

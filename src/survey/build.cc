@@ -1,59 +1,42 @@
 #include "survey/build.h"
 
-#include <chrono>
-
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "datagen/privacy.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace whoiscrf::survey {
 
+bool DetectPrivacyService(std::string_view registrant_name,
+                          std::string_view registrant_org,
+                          std::string* canonical_service) {
+  // Canonical services first: exact-ish name containment.
+  for (const auto& service : datagen::PrivacyServices()) {
+    if (util::ContainsIgnoreCase(registrant_name, service.name) ||
+        util::ContainsIgnoreCase(registrant_org, service.name)) {
+      if (canonical_service != nullptr) {
+        *canonical_service = std::string(service.name);
+      }
+      return true;
+    }
+  }
+  // Generic keywords ("they stand out because they by definition have many
+  // domains associated with them").
+  for (std::string_view keyword :
+       {"privacy", "proxy", "private registration", "whois agent",
+        "protected", "whoisguard", "identity shield"}) {
+    if (util::ContainsIgnoreCase(registrant_name, keyword) ||
+        util::ContainsIgnoreCase(registrant_org, keyword)) {
+      if (canonical_service != nullptr) {
+        *canonical_service = registrant_org.empty()
+                                 ? std::string(registrant_name)
+                                 : std::string(registrant_org);
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
 namespace {
-
-// Registry handles for the survey-build metrics (whoiscrf_survey_*; see
-// docs/observability.md). The stage-seconds gauges are cumulative across
-// chunks: each worker accumulates locally and flushes once per chunk, so
-// per-row cost stays at a few steady_clock reads.
-struct SurveyMetrics {
-  obs::Counter* rows;
-  obs::Gauge* generate_seconds;
-  obs::Gauge* parse_seconds;
-  obs::Gauge* normalize_seconds;
-  obs::Histogram* chunk_seconds;
-};
-
-const SurveyMetrics& GetSurveyMetrics() {
-  static const SurveyMetrics metrics = [] {
-    auto& reg = obs::Registry::Global();
-    SurveyMetrics m;
-    m.rows = reg.GetCounter("whoiscrf_survey_rows_total",
-                             "Domain rows built into the survey database");
-    m.generate_seconds = reg.GetGauge(
-        "whoiscrf_survey_generate_seconds_total",
-        "Cumulative seconds spent generating synthetic records "
-        "(summed across worker threads)");
-    m.parse_seconds = reg.GetGauge(
-        "whoiscrf_survey_parse_seconds_total",
-        "Cumulative seconds spent parsing records during survey build "
-        "(summed across worker threads)");
-    m.normalize_seconds = reg.GetGauge(
-        "whoiscrf_survey_normalize_seconds_total",
-        "Cumulative seconds spent normalizing parses into domain rows "
-        "(summed across worker threads)");
-    m.chunk_seconds = reg.GetHistogram(
-        "whoiscrf_survey_chunk_seconds",
-        "Wall time of one survey build chunk (one worker's share)",
-        {0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60});
-    return m;
-  }();
-  return metrics;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 // Row assembly shared by both RowFromParse overloads; only the
 // registrar/country folding strategy differs.
@@ -106,74 +89,6 @@ DomainRow RowFromParse(const std::string& domain,
       [&](const std::string& value) {
         return normalizer.NormalizeCountry(value);
       });
-}
-
-SurveyDatabase BuildDatabase(const datagen::CorpusGenerator& generator,
-                             const whois::WhoisParser& parser, size_t count,
-                             size_t threads) {
-  const SurveyMetrics& metrics = GetSurveyMetrics();
-  obs::ScopedSpan build_span("survey.build_database");
-  std::vector<DomainRow> rows(count);
-  util::ThreadPool pool(threads);
-  const SurveyNormalizer normalizer(generator.registrars());
-  const size_t chunks = std::min(count, pool.size());
-  std::vector<whois::ParseWorkspace> workspaces(std::max<size_t>(chunks, 1));
-  pool.ParallelChunks(count, [&](size_t begin, size_t end, size_t chunk) {
-    obs::ScopedSpan chunk_span("survey.chunk");
-    whois::ParseWorkspace& ws = workspaces[chunk];
-    const auto chunk_start = std::chrono::steady_clock::now();
-    double generate_s = 0.0, parse_s = 0.0, normalize_s = 0.0;
-    for (size_t i = begin; i < end; ++i) {
-      auto t = std::chrono::steady_clock::now();
-      const datagen::GeneratedDomain domain = generator.Generate(i);
-      generate_s += SecondsSince(t);
-      t = std::chrono::steady_clock::now();
-      const whois::ParsedWhois parsed = parser.Parse(domain.thick.text, ws);
-      parse_s += SecondsSince(t);
-      t = std::chrono::steady_clock::now();
-      rows[i] = RowFromParse(domain.facts.domain, parsed, normalizer,
-                             domain.facts.on_dbl);
-      if (rows[i].registrar.empty()) {
-        // Thick records from a few registrars omit the registrar name; the
-        // crawl pipeline still knows it from the thin registry record
-        // (§2.2), so the survey attributes those rows via the thin hop.
-        rows[i].registrar =
-            normalizer.NormalizeRegistrar(domain.facts.registrar_name);
-      }
-      normalize_s += SecondsSince(t);
-    }
-    metrics.rows->Inc(end - begin);
-    metrics.generate_seconds->Add(generate_s);
-    metrics.parse_seconds->Add(parse_s);
-    metrics.normalize_seconds->Add(normalize_s);
-    metrics.chunk_seconds->Observe(SecondsSince(chunk_start));
-  });
-  SurveyDatabase db;
-  db.Reserve(count);
-  for (auto& row : rows) db.Add(std::move(row));
-  return db;
-}
-
-SurveyDatabase BuildDatabaseFromStream(
-    whois::RecordSource& source, const whois::WhoisParser& parser,
-    const datagen::RegistrarTable& registrars,
-    const whois::StreamPipelineOptions& options) {
-  const SurveyMetrics& metrics = GetSurveyMetrics();
-  obs::ScopedSpan build_span("survey.build_stream");
-  const SurveyNormalizer normalizer(registrars);
-  SurveyDatabase db;
-  double normalize_s = 0.0;
-  whois::ParseStream(
-      parser, source, options,
-      [&](uint64_t, const std::string&, const whois::ParsedWhois& parsed) {
-        const auto t = std::chrono::steady_clock::now();
-        db.Add(RowFromParse(parsed.domain_name, parsed, normalizer,
-                            /*on_dbl=*/false));
-        normalize_s += SecondsSince(t);
-      });
-  metrics.rows->Inc(db.size());
-  metrics.normalize_seconds->Add(normalize_s);
-  return db;
 }
 
 }  // namespace whoiscrf::survey

@@ -5,16 +5,14 @@
 #include <string>
 
 #include "datagen/corpus_gen.h"
-#include "survey/database.h"
 #include "survey/normalize.h"
+#include "survey/row.h"
 #include "whois/record.h"
-#include "whois/record_stream.h"
-#include "whois/stream_pipeline.h"
 #include "whois/whois_parser.h"
 
 namespace whoiscrf::survey {
 
-// Normalizes a parsed record into one database row.
+// Normalizes a parsed record into one survey row.
 //   * registrar display names are folded to the registrar table's short
 //     names ("GoDaddy.com, LLC" -> "GoDaddy");
 //   * the creation year is extracted from the raw date string;
@@ -33,23 +31,5 @@ DomainRow RowFromParse(const std::string& domain,
 DomainRow RowFromParse(const std::string& domain,
                        const whois::ParsedWhois& parsed,
                        const SurveyNormalizer& normalizer, bool on_dbl);
-
-// Parses `count` corpus domains with the trained parser and assembles the
-// survey database, using `threads` workers (0 = hardware concurrency).
-SurveyDatabase BuildDatabase(const datagen::CorpusGenerator& generator,
-                             const whois::WhoisParser& parser, size_t count,
-                             size_t threads = 0);
-
-// Streaming variant for crawled corpora: drains raw records from `source`
-// through the bounded-memory parse pipeline (docs/architecture.md
-// "Streaming pipeline") and assembles rows in input order. The corpus is
-// never materialized — resident memory is the pipeline's bounded queues
-// plus the (compact) row database. The domain name comes from the parsed
-// record itself, and `on_dbl` is false: a real deployment joins the
-// blacklist downstream of the parse, as the paper does.
-SurveyDatabase BuildDatabaseFromStream(
-    whois::RecordSource& source, const whois::WhoisParser& parser,
-    const datagen::RegistrarTable& registrars,
-    const whois::StreamPipelineOptions& options = {});
 
 }  // namespace whoiscrf::survey

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 
 #include "datagen/record_source.h"
 #include "obs/metrics.h"
@@ -52,29 +51,6 @@ const ScaleMetrics& GetScaleMetrics() {
     return m;
   }();
   return metrics;
-}
-
-// Exact-equality comparison of two TopKResults. Shares divide identical
-// integer counts by identical totals on both paths, so == on the doubles
-// is the right check — any difference is an aggregation bug, not noise.
-bool SameTopK(const std::string& what, const TopKResult& a,
-              const TopKResult& b, std::string* detail) {
-  const auto fail = [&](const std::string& why) {
-    if (detail != nullptr) *detail = what + ": " + why;
-    return false;
-  };
-  if (a.total != b.total) return fail("total differs");
-  if (a.unknown_count != b.unknown_count) return fail("unknown differs");
-  if (a.other_count != b.other_count) return fail("other differs");
-  if (a.top.size() != b.top.size()) return fail("top size differs");
-  for (size_t i = 0; i < a.top.size(); ++i) {
-    if (a.top[i].key != b.top[i].key ||
-        a.top[i].count != b.top[i].count ||
-        a.top[i].share != b.top[i].share) {
-      return fail(util::Format("row %zu differs", i));
-    }
-  }
-  return true;
 }
 
 void AppendTopKTable(std::string& out, const std::string& title,
@@ -175,9 +151,8 @@ ScaleRunResult RunScaleRun(const whois::WhoisParser& parser,
   const whois::CheckpointedParseResult parse = whois::ParseStreamToStore(
       parser, source, options.store_prefix, ckpt,
       [&](uint64_t, const std::string&, const whois::ParsedWhois& parsed) {
-        // Mirrors BuildDatabaseFromStream row assembly exactly (domain
-        // from the parsed record, on_dbl joined downstream as in the
-        // paper), which is what the cross-check test relies on.
+        // The domain comes from the parsed record; on_dbl is joined
+        // downstream of the parse, as in the paper.
         result.survey.Add(RowFromParse(parsed.domain_name, parsed,
                                        normalizer, /*on_dbl=*/false));
       });
@@ -204,109 +179,6 @@ ScaleRunResult RunScaleRun(const whois::WhoisParser& parser,
   metrics.sustained_rps->Set(result.sustained_rps);
   metrics.peak_rss_kb->Set(static_cast<double>(result.peak_rss_kb));
   return result;
-}
-
-bool CrossCheckSurveyPaths(const whois::WhoisParser& parser,
-                           const datagen::TemporalCorpusGenerator& generator,
-                           const whois::StreamPipelineOptions& pipeline,
-                           uint64_t count, std::string* detail) {
-  obs::ScopedSpan span("survey.scale_cross_check");
-  const auto generate = [&generator](uint64_t i) {
-    return generator.Generate(i).thick.text;
-  };
-  const SurveyNormalizer normalizer(generator.base().registrars());
-
-  SurveyAccumulator acc;
-  {
-    datagen::GeneratedRecordSource source(count, generate);
-    whois::ParseStream(
-        parser, source, pipeline,
-        [&](uint64_t, const std::string&, const whois::ParsedWhois& parsed) {
-          acc.Add(RowFromParse(parsed.domain_name, parsed, normalizer,
-                               /*on_dbl=*/false));
-        });
-  }
-  SurveyDatabase db;
-  {
-    datagen::GeneratedRecordSource source(count, generate);
-    db = BuildDatabaseFromStream(source, parser,
-                                 generator.base().registrars(), pipeline);
-  }
-
-  const auto fail = [&](const std::string& why) {
-    if (detail != nullptr) *detail = why;
-    return false;
-  };
-  if (acc.records() != db.size()) return fail("record counts differ");
-
-  const std::map<int, size_t> hist_db = CreationHistogram(db);
-  if (acc.CreationHistogram() != hist_db) {
-    return fail("creation histogram differs");
-  }
-
-  constexpr size_t kTop = 10;
-  if (!SameTopK("top registrars", acc.TopRegistrars(kTop),
-                TopRegistrars(db, kTop), detail) ||
-      !SameTopK("top countries", acc.TopCountries(kTop),
-                TopCountries(db, kTop), detail) ||
-      !SameTopK("privacy registrars", acc.TopPrivacyRegistrars(kTop),
-                TopPrivacyRegistrars(db, kTop), detail) ||
-      !SameTopK("privacy services", acc.TopPrivacyServices(kTop),
-                TopPrivacyServices(db, kTop), detail)) {
-    return false;
-  }
-  for (const auto& [year, rows] : hist_db) {
-    if (!SameTopK(util::Format("registrars %d", year),
-                  acc.TopRegistrars(kTop, year),
-                  TopRegistrars(db, kTop, year), detail) ||
-        !SameTopK(util::Format("countries %d", year),
-                  acc.TopCountries(kTop, year),
-                  TopCountries(db, kTop, year), detail) ||
-        !SameTopK(util::Format("dbl registrars %d", year),
-                  acc.DblTopRegistrars(kTop, year),
-                  DblTopRegistrars(db, kTop, year), detail) ||
-        !SameTopK(util::Format("dbl countries %d", year),
-                  acc.DblTopCountries(kTop, year),
-                  DblTopCountries(db, kTop, year), detail)) {
-      return false;
-    }
-  }
-
-  if (!hist_db.empty()) {
-    std::vector<std::string> tracked;
-    for (const CountRow& row : acc.TopCountries(5).top) {
-      tracked.push_back(row.key);
-    }
-    const int min_year = hist_db.begin()->first;
-    const int max_year = hist_db.rbegin()->first;
-    const auto comp_acc =
-        acc.CountryProportionsByYear(tracked, min_year, max_year);
-    const auto comp_db =
-        CountryProportionsByYear(db, tracked, min_year, max_year);
-    if (comp_acc.size() != comp_db.size()) {
-      return fail("year composition row counts differ");
-    }
-    for (size_t i = 0; i < comp_acc.size(); ++i) {
-      if (comp_acc[i].year != comp_db[i].year ||
-          comp_acc[i].total != comp_db[i].total ||
-          comp_acc[i].shares != comp_db[i].shares) {
-        return fail(util::Format("year composition %d differs",
-                                 comp_acc[i].year));
-      }
-    }
-  }
-
-  const TopKResult registrars = acc.TopRegistrars(1);
-  if (!registrars.top.empty()) {
-    const std::string& top_registrar = registrars.top[0].key;
-    if (!SameTopK("registrar country breakdown",
-                  acc.RegistrarCountryBreakdown(top_registrar, kTop),
-                  RegistrarCountryBreakdown(db, top_registrar, kTop),
-                  detail)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::string RenderScaleSurveyTables(const SurveyAccumulator& acc,

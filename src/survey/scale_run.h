@@ -87,16 +87,6 @@ ScaleRunResult RunScaleRun(const whois::WhoisParser& parser,
                            const datagen::TemporalCorpusGenerator& generator,
                            const ScaleRunOptions& options);
 
-// Small-corpus equivalence check: streams the first `count` records
-// through both survey paths — the SurveyAccumulator and the in-memory
-// SurveyDatabase + aggregates.h — with identical pipeline options, and
-// compares every §6 aggregate exactly. Returns true when identical; on a
-// mismatch *detail (optional) names the first differing aggregate.
-bool CrossCheckSurveyPaths(const whois::WhoisParser& parser,
-                           const datagen::TemporalCorpusGenerator& generator,
-                           const whois::StreamPipelineOptions& pipeline,
-                           uint64_t count, std::string* detail);
-
 // Renders the §6 survey tables (creation-year histogram, top registrars,
 // top registrant countries, privacy registrars/services, brand counts)
 // as plain text.

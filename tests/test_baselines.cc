@@ -673,16 +673,16 @@ TEST(TemplateParserTest, ConcurrentParsesMatchSerial) {
   std::vector<TemplateBasedParser::Result> serial;
   for (const std::string& text : inputs) serial.push_back(parser.Parse(text));
 
-  constexpr size_t kThreads = 4;
-  std::vector<size_t> mismatches(kThreads, 0);
+  constexpr size_t kWorkers = 4;
+  std::vector<size_t> mismatches(kWorkers, 0);
   std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
+  for (size_t t = 0; t < kWorkers; ++t) {
     threads.emplace_back([&, t] {
       for (size_t round = 0; round < 3; ++round) {
         for (size_t k = 0; k < inputs.size(); ++k) {
           // Each thread walks the inputs from a different offset, so
           // threads parse different records at the same moment.
-          const size_t i = (k + t * inputs.size() / kThreads) % inputs.size();
+          const size_t i = (k + t * inputs.size() / kWorkers) % inputs.size();
           const auto got = parser.Parse(inputs[i]);
           const auto& want = serial[i];
           if (got.matched != want.matched ||
@@ -696,7 +696,7 @@ TEST(TemplateParserTest, ConcurrentParsesMatchSerial) {
     });
   }
   for (std::thread& th : threads) th.join();
-  for (size_t t = 0; t < kThreads; ++t) {
+  for (size_t t = 0; t < kWorkers; ++t) {
     EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
   }
 }

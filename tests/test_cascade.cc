@@ -308,11 +308,11 @@ TEST_F(CascadeTest, ConcurrentParseIsSafe) {
   options.shadow_sample_rate = 0.5;  // exercise the shadow lock under TSan
   const CascadeParser cascade(crf_, *corpus_, options);
 
-  constexpr size_t kThreads = 4;
+  constexpr size_t kWorkers = 4;
   constexpr size_t kPerThread = 30;
   std::vector<std::thread> threads;
-  std::vector<size_t> cheap_counts(kThreads, 0);
-  for (size_t t = 0; t < kThreads; ++t) {
+  std::vector<size_t> cheap_counts(kWorkers, 0);
+  for (size_t t = 0; t < kWorkers; ++t) {
     threads.emplace_back([&, t] {
       whois::ParseWorkspace ws;
       for (size_t i = 0; i < kPerThread; ++i) {

@@ -394,9 +394,9 @@ TEST(CliCommandsTest, ScaleRunSmokeStreamsChecksAndResumes) {
     std::vector<const char*> args = {
         "--smoke",       "--count",       "300",
         "--train-count", "100",           "--checkpoint-interval",
-        "64",            "--self-check",  "150",
-        "--out",         prefix.c_str(),  "--bench-out",
-        bench_path.c_str(), "--tables-out", tables_path.c_str()};
+        "64",            "--out",         prefix.c_str(),
+        "--bench-out",   bench_path.c_str(), "--tables-out",
+        tables_path.c_str()};
     if (resume) args.push_back("--resume");
     return args;
   };
@@ -407,7 +407,8 @@ TEST(CliCommandsTest, ScaleRunSmokeStreamsChecksAndResumes) {
     EXPECT_TRUE(flags.UnconsumedFlags().empty());
   }
   // The §6 tables and the floor-gated bench artifact both materialized,
-  // and the self-check confirmed streaming == in-memory aggregation.
+  // and the published checkpoint (complete, all records, survey snapshot)
+  // matched the live run.
   const std::string tables = read_file(tables_path);
   EXPECT_NE(tables.find("creation-year histogram"), std::string::npos);
   EXPECT_NE(read_file(bench_path).find("\"checksums_match\": true"),
@@ -420,12 +421,27 @@ TEST(CliCommandsTest, ScaleRunSmokeStreamsChecksAndResumes) {
   EXPECT_FALSE(cp.aux.empty());  // the serialized survey accumulator
 
   // Resuming the finished run is an idempotent no-op with identical
-  // tables.
+  // tables, restored from the checkpointed survey snapshot.
   {
     auto flags = Parse(run_args(true));
     ASSERT_EQ(cli::CmdScaleRun(flags), 0);
   }
   EXPECT_EQ(read_file(tables_path), tables);
+  EXPECT_NE(read_file(bench_path).find("\"checksums_match\": true"),
+            std::string::npos);
+
+  // A published checkpoint whose cursor no longer accounts for every
+  // record fails the check: exit 1 and checksums_match false.
+  {
+    whois::StreamCheckpoint short_cp = cp;
+    short_cp.consumed = 299;
+    whois::SaveStreamCheckpoint(whois::StreamCheckpointPath(prefix),
+                                short_cp);
+    auto flags = Parse(run_args(true));
+    EXPECT_EQ(cli::CmdScaleRun(flags), 1);
+  }
+  EXPECT_NE(read_file(bench_path).find("\"checksums_match\": false"),
+            std::string::npos);
 
   for (size_t s = 0; s < 8; ++s) {
     std::remove(whois::RecordStoreShardPath(prefix, s).c_str());

@@ -7,7 +7,7 @@
 #include "datagen/corpus_gen.h"
 #include "net/crawler.h"
 #include "net/simulation.h"
-#include "survey/aggregates.h"
+#include "survey/accumulator.h"
 #include "survey/build.h"
 #include "whois/whois_parser.h"
 
@@ -111,30 +111,26 @@ TEST_F(PipelineTest, CrawlParseSurveyRoundTrip) {
   crawl_options.registry_server = sim.registry_server;
   net::Crawler crawler(*sim.network, clock, crawl_options);
 
-  survey::SurveyDatabase db;
+  survey::SurveyAccumulator acc;
+  size_t year_hits = 0;
   for (const auto& result : crawler.CrawlAll(sim.zone_domains)) {
     if (result.status != net::CrawlResult::Status::kOk) continue;
     const auto parsed = parser_->Parse(result.thick);
     const auto& truth = sim.truth.at(result.domain);
-    db.Add(survey::RowFromParse(result.domain, parsed,
-                                generator_->registrars(),
-                                truth.facts.on_dbl));
+    const survey::DomainRow row = survey::RowFromParse(
+        result.domain, parsed, generator_->registrars(), truth.facts.on_dbl);
+    // Parsed creation years should match the generated facts almost
+    // always.
+    if (row.created_year == truth.facts.created_year) ++year_hits;
+    acc.Add(row);
   }
-  ASSERT_EQ(db.size(), sim.truth.size());
+  ASSERT_EQ(acc.records(), sim.truth.size());
+  EXPECT_GT(static_cast<double>(year_hits) / acc.records(), 0.9);
 
   // Registrar normalization should recover the short names for most rows.
-  const auto registrars = survey::TopRegistrars(db, 3);
+  const auto registrars = acc.TopRegistrars(3);
   ASSERT_FALSE(registrars.top.empty());
   EXPECT_EQ(registrars.top[0].key, "GoDaddy");
-
-  // Parsed creation years should match the generated facts almost always.
-  size_t year_hits = 0;
-  for (const auto& row : db.rows()) {
-    if (row.created_year == sim.truth.at(row.domain).facts.created_year) {
-      ++year_hits;
-    }
-  }
-  EXPECT_GT(static_cast<double>(year_hits) / db.size(), 0.9);
 }
 
 TEST_F(PipelineTest, PrivacyDetectionMatchesGeneratedTruth) {

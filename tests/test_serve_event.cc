@@ -435,26 +435,6 @@ TEST_F(ServeEventTest, DrainCompletesAdmittedPipelinedRequests) {
   ::close(fd);
 }
 
-TEST_F(ServeEventTest, ThreadsFrontendStillRoundTrips) {
-  ParseServerOptions options;
-  options.service.threads = 1;
-  options.frontend = Frontend::kThreads;
-  ParseServer server(*parser_, options);
-
-  const int fd = Connect(server.port());
-  FdStream stream(fd);
-  const std::string record = Record(3);
-  ASSERT_TRUE(WriteFrame(stream, record));
-  Status status = Status::kError;
-  std::string body;
-  ASSERT_EQ(ReadResponse(stream, status, body, kDefaultMaxFrameBytes),
-            FrameRead::kFrame);
-  EXPECT_EQ(status, Status::kOk);
-  EXPECT_EQ(body, OfflineJson(record));
-  ::close(fd);
-  server.Shutdown();
-}
-
 // ---------------------------------------------------------------------------
 // Shard router
 

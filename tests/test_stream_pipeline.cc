@@ -22,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include "datagen/corpus_gen.h"
-#include "survey/build.h"
 #include "util/bounded_queue.h"
 #include "util/checkpoint.h"
 #include "util/chunk_reader.h"
@@ -502,27 +501,6 @@ TEST_F(StreamPipelineTest, StoreSourceParsesIdenticallyToTextSource) {
     EXPECT_EQ(json[i], ToJson(parser_->Parse(records[i], ws))) << i;
   }
   RemoveStore(prefix);
-}
-
-TEST_F(StreamPipelineTest, BuildDatabaseFromStreamAssemblesRowsInOrder) {
-  const std::vector<std::string> records = CorpusTexts(120, 25);
-  std::string text;
-  for (const auto& r : records) {
-    text += r;
-    text += "%%\n";
-  }
-  util::MemoryByteSource bytes(text, 1 << 20);
-  TextRecordSource source(bytes);
-  StreamPipelineOptions options;
-  options.threads = 2;
-  const survey::SurveyDatabase db = survey::BuildDatabaseFromStream(
-      source, *parser_, generator_->registrars(), options);
-  ASSERT_EQ(db.size(), records.size());
-  ParseWorkspace ws;
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(db.rows()[i].domain, parser_->Parse(records[i], ws).domain_name)
-        << i;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
-// Survey layer: privacy detection, aggregations, row normalization, and
-// the streaming SurveyAccumulator's bit-identity with the in-memory path.
+// Survey layer: privacy detection, row normalization, and the
+// SurveyAccumulator's §6 queries, checked against a naive row-at-a-time
+// reference that materializes every row and groups on each query.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "datagen/temporal.h"
 #include "survey/accumulator.h"
-#include "survey/aggregates.h"
 #include "survey/build.h"
-#include "survey/database.h"
 #include "survey/normalize.h"
 #include "survey/scale_run.h"
 #include "whois/record_store.h"
@@ -20,13 +24,178 @@
 namespace whoiscrf::survey {
 namespace {
 
-SurveyDatabase MakeDb() {
-  SurveyDatabase db;
+// ---------------------------------------------------------------------------
+// Naive reference: the row-materializing survey path the accumulator
+// replaced, kept here as the oracle. Every query walks all rows, filters,
+// groups, and ranks on its own — no code is shared with the accumulator,
+// TopKFromCounts included.
+namespace naive {
+
+using Rows = std::vector<DomainRow>;
+
+TopKResult TopK(const Rows& rows,
+                const std::function<std::string(const DomainRow&)>& key,
+                size_t k, const std::function<bool(const DomainRow&)>& filter) {
+  std::map<std::string, size_t> counts;
+  TopKResult result;
+  for (const DomainRow& row : rows) {
+    if (!filter(row)) continue;
+    ++result.total;
+    const std::string group = key(row);
+    if (group.empty()) {
+      ++result.unknown_count;
+    } else {
+      ++counts[group];
+    }
+  }
+  std::vector<std::pair<std::string, size_t>> sorted(counts.begin(),
+                                                     counts.end());
+  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  const double denom =
+      result.total > 0 ? static_cast<double>(result.total) : 1.0;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (i < k) {
+      result.top.push_back(
+          CountRow{sorted[i].first, sorted[i].second,
+                   static_cast<double>(sorted[i].second) / denom});
+    } else {
+      result.other_count += sorted[i].second;
+    }
+  }
+  return result;
+}
+
+std::string Country(const DomainRow& r) { return r.country_code; }
+std::string Registrar(const DomainRow& r) { return r.registrar; }
+std::string Service(const DomainRow& r) { return r.privacy_service; }
+
+TopKResult TopCountries(const Rows& rows, size_t k,
+                        std::optional<int> year = std::nullopt) {
+  return TopK(rows, Country, k, [year](const DomainRow& r) {
+    if (r.privacy_protected) return false;  // country not inferable
+    return !year.has_value() || r.created_year == *year;
+  });
+}
+
+TopKResult TopRegistrars(const Rows& rows, size_t k,
+                         std::optional<int> year = std::nullopt) {
+  return TopK(rows, Registrar, k, [year](const DomainRow& r) {
+    return !year.has_value() || r.created_year == *year;
+  });
+}
+
+TopKResult TopPrivacyRegistrars(const Rows& rows, size_t k) {
+  return TopK(rows, Registrar, k,
+              [](const DomainRow& r) { return r.privacy_protected; });
+}
+
+TopKResult TopPrivacyServices(const Rows& rows, size_t k) {
+  return TopK(rows, Service, k,
+              [](const DomainRow& r) { return r.privacy_protected; });
+}
+
+std::vector<CountRow> BrandCounts(const Rows& rows,
+                                  const std::vector<std::string>& brands) {
+  std::vector<CountRow> out;
+  for (const std::string& brand : brands) {
+    CountRow row;
+    row.key = brand;
+    for (const DomainRow& r : rows) {
+      if (r.registrant_org == brand) ++row.count;
+    }
+    out.push_back(std::move(row));
+  }
+  std::sort(out.begin(), out.end(), [](const CountRow& a, const CountRow& b) {
+    if (a.count != b.count) return a.count > b.count;
+    return a.key < b.key;
+  });
+  return out;
+}
+
+TopKResult DblTopCountries(const Rows& rows, size_t k, int year) {
+  return TopK(rows, Country, k, [year](const DomainRow& r) {
+    return r.on_dbl && r.created_year == year && !r.privacy_protected;
+  });
+}
+
+TopKResult DblTopRegistrars(const Rows& rows, size_t k, int year) {
+  return TopK(rows, Registrar, k, [year](const DomainRow& r) {
+    return r.on_dbl && r.created_year == year;
+  });
+}
+
+std::map<int, size_t> CreationHistogram(const Rows& rows) {
+  std::map<int, size_t> hist;
+  for (const DomainRow& r : rows) {
+    if (r.created_year > 0) ++hist[r.created_year];
+  }
+  return hist;
+}
+
+std::vector<YearComposition> CountryProportionsByYear(
+    const Rows& rows, const std::vector<std::string>& countries,
+    int min_year, int max_year) {
+  std::vector<YearComposition> out;
+  for (int year = min_year; year <= max_year; ++year) {
+    YearComposition comp;
+    comp.year = year;
+    std::map<std::string, size_t> counts;
+    size_t privacy = 0;
+    size_t unknown = 0;
+    size_t other = 0;
+    for (const DomainRow& r : rows) {
+      if (r.created_year != year) continue;
+      ++comp.total;
+      if (r.privacy_protected) {
+        ++privacy;
+      } else if (r.country_code.empty()) {
+        ++unknown;
+      } else if (std::find(countries.begin(), countries.end(),
+                           r.country_code) != countries.end()) {
+        ++counts[r.country_code];
+      } else {
+        ++other;
+      }
+    }
+    if (comp.total == 0) continue;
+    const double denom = static_cast<double>(comp.total);
+    for (const std::string& cc : countries) {
+      comp.shares[cc] = static_cast<double>(counts[cc]) / denom;
+    }
+    comp.shares["Private"] = static_cast<double>(privacy) / denom;
+    comp.shares["Unknown"] = static_cast<double>(unknown) / denom;
+    comp.shares["Other"] = static_cast<double>(other) / denom;
+    out.push_back(std::move(comp));
+  }
+  return out;
+}
+
+TopKResult RegistrarCountryBreakdown(const Rows& rows,
+                                     const std::string& registrar, size_t k) {
+  return TopK(rows, Country, k, [&registrar](const DomainRow& r) {
+    return r.registrar == registrar && !r.privacy_protected;
+  });
+}
+
+}  // namespace naive
+
+SurveyAccumulator Accumulate(const std::vector<DomainRow>& rows,
+                             std::vector<std::string> brands = {}) {
+  SurveyAccumulator acc(std::move(brands));
+  for (const DomainRow& row : rows) acc.Add(row);
+  return acc;
+}
+
+std::vector<DomainRow> MakeRows() {
+  std::vector<DomainRow> rows;
   auto add = [&](std::string registrar, int year, std::string cc,
                  bool privacy, std::string service, bool dbl,
                  std::string org = "") {
     DomainRow row;
-    row.domain = "d" + std::to_string(db.size()) + ".com";
+    row.domain = "d" + std::to_string(rows.size()) + ".com";
     row.registrar = std::move(registrar);
     row.created_year = year;
     row.country_code = std::move(cc);
@@ -34,7 +203,7 @@ SurveyDatabase MakeDb() {
     row.privacy_service = std::move(service);
     row.on_dbl = dbl;
     row.registrant_org = std::move(org);
-    db.Add(std::move(row));
+    rows.push_back(std::move(row));
   };
   add("GoDaddy", 2014, "US", false, "", false);
   add("GoDaddy", 2014, "US", false, "", true);
@@ -45,11 +214,11 @@ SurveyDatabase MakeDb() {
   add("HiChina", 2014, "CN", false, "", false, "Amazon");
   add("GoDaddy", 2014, "", true, "Domains By Proxy", false);
   add("eNom", 2012, "", true, "WhoisGuard", false);
-  return db;
+  return rows;
 }
 
 TEST(AggregatesTest, TopCountriesExcludesPrivacy) {
-  const auto result = TopCountries(MakeDb(), 2);
+  const auto result = Accumulate(MakeRows()).TopCountries(2);
   EXPECT_EQ(result.total, 7u);  // two privacy rows excluded
   ASSERT_GE(result.top.size(), 2u);
   EXPECT_EQ(result.top[0].key, "US");
@@ -60,35 +229,38 @@ TEST(AggregatesTest, TopCountriesExcludesPrivacy) {
 }
 
 TEST(AggregatesTest, TopCountriesYearFilter) {
-  const auto result = TopCountries(MakeDb(), 3, 2014);
+  const auto result = Accumulate(MakeRows()).TopCountries(3, 2014);
   EXPECT_EQ(result.total, 6u);
   EXPECT_EQ(result.top[0].key, "US");
 }
 
 TEST(AggregatesTest, TopRegistrars) {
-  const auto result = TopRegistrars(MakeDb(), 1);
+  const auto result = Accumulate(MakeRows()).TopRegistrars(1);
   EXPECT_EQ(result.top[0].key, "GoDaddy");
   EXPECT_EQ(result.top[0].count, 5u);
   EXPECT_EQ(result.other_count, 4u);  // eNom + HiChina rows beyond top-1
 }
 
 TEST(AggregatesTest, PrivacyAggregates) {
-  const auto registrars = TopPrivacyRegistrars(MakeDb(), 5);
+  const SurveyAccumulator acc = Accumulate(MakeRows());
+  const auto registrars = acc.TopPrivacyRegistrars(5);
   EXPECT_EQ(registrars.total, 2u);
-  const auto services = TopPrivacyServices(MakeDb(), 5);
+  const auto services = acc.TopPrivacyServices(5);
   ASSERT_EQ(services.top.size(), 2u);
   EXPECT_EQ(services.top[0].count, 1u);
 }
 
 TEST(AggregatesTest, DblTables) {
-  const auto countries = DblTopCountries(MakeDb(), 5, 2014);
+  const SurveyAccumulator acc = Accumulate(MakeRows());
+  const auto countries = acc.DblTopCountries(5, 2014);
   EXPECT_EQ(countries.total, 2u);
-  const auto registrars = DblTopRegistrars(MakeDb(), 5, 2014);
+  const auto registrars = acc.DblTopRegistrars(5, 2014);
   EXPECT_EQ(registrars.total, 2u);
 }
 
 TEST(AggregatesTest, BrandCounts) {
-  const auto brands = BrandCounts(MakeDb(), {"Amazon", "Google"});
+  const auto brands =
+      Accumulate(MakeRows(), {"Amazon", "Google"}).BrandCounts();
   ASSERT_EQ(brands.size(), 2u);
   EXPECT_EQ(brands[0].key, "Amazon");
   EXPECT_EQ(brands[0].count, 1u);
@@ -96,15 +268,15 @@ TEST(AggregatesTest, BrandCounts) {
 }
 
 TEST(AggregatesTest, CreationHistogram) {
-  const auto hist = CreationHistogram(MakeDb());
+  const auto hist = Accumulate(MakeRows()).CreationHistogram();
   EXPECT_EQ(hist.at(2014), 7u);
   EXPECT_EQ(hist.at(2013), 1u);
   EXPECT_EQ(hist.at(2012), 1u);
 }
 
 TEST(AggregatesTest, CountryProportionsByYear) {
-  const auto comps = CountryProportionsByYear(MakeDb(), {"US", "CN"}, 2012,
-                                              2014);
+  const auto comps =
+      Accumulate(MakeRows()).CountryProportionsByYear({"US", "CN"}, 2012, 2014);
   ASSERT_EQ(comps.size(), 3u);
   const auto& y2014 = comps.back();
   EXPECT_EQ(y2014.year, 2014);
@@ -117,7 +289,8 @@ TEST(AggregatesTest, CountryProportionsByYear) {
 }
 
 TEST(AggregatesTest, RegistrarCountryBreakdown) {
-  const auto result = RegistrarCountryBreakdown(MakeDb(), "GoDaddy", 2);
+  const auto result =
+      Accumulate(MakeRows()).RegistrarCountryBreakdown("GoDaddy", 2);
   EXPECT_EQ(result.total, 4u);  // privacy row excluded
   EXPECT_EQ(result.top[0].key, "US");
 }
@@ -174,27 +347,6 @@ TEST(RowFromParseTest, CountryCodeAlreadyNormalized) {
   EXPECT_EQ(row.country_code, "CN");
 }
 
-// ---------------------------------------------------------------------------
-// SurveyAccumulator: the streaming path must reproduce the SurveyDatabase
-// aggregates bit for bit, on bounded state.
-
-void ExpectSameTopK(const TopKResult& a, const TopKResult& b,
-                    const std::string& what) {
-  SCOPED_TRACE(what);
-  EXPECT_EQ(a.total, b.total);
-  EXPECT_EQ(a.unknown_count, b.unknown_count);
-  EXPECT_EQ(a.other_count, b.other_count);
-  ASSERT_EQ(a.top.size(), b.top.size());
-  for (size_t i = 0; i < a.top.size(); ++i) {
-    EXPECT_EQ(a.top[i].key, b.top[i].key);
-    EXPECT_EQ(a.top[i].count, b.top[i].count);
-    // Exact double equality on purpose: both sides must divide the same
-    // integers in the same order (shared TopKFromCounts), not merely agree
-    // to within epsilon.
-    EXPECT_EQ(a.top[i].share, b.top[i].share);
-  }
-}
-
 // Deterministic row soup covering every aggregate dimension: unknown
 // registrars/countries/years, privacy rows with and without a named
 // service, DBL rows, and tracked brand orgs.
@@ -230,63 +382,120 @@ std::vector<DomainRow> SyntheticRows(size_t count) {
   return rows;
 }
 
-void ExpectAccumulatorMatchesDatabase(const SurveyAccumulator& acc,
-                                      const SurveyDatabase& db,
-                                      const std::vector<std::string>& brands) {
-  EXPECT_EQ(acc.records(), db.size());
-  ExpectSameTopK(acc.TopCountries(3), TopCountries(db, 3), "countries");
-  ExpectSameTopK(acc.TopCountries(3, 2012), TopCountries(db, 3, 2012),
-                 "countries 2012");
-  ExpectSameTopK(acc.TopRegistrars(4), TopRegistrars(db, 4), "registrars");
-  ExpectSameTopK(acc.TopRegistrars(4, 2013), TopRegistrars(db, 4, 2013),
-                 "registrars 2013");
-  ExpectSameTopK(acc.TopPrivacyRegistrars(4), TopPrivacyRegistrars(db, 4),
-                 "privacy registrars");
-  ExpectSameTopK(acc.TopPrivacyServices(4), TopPrivacyServices(db, 4),
-                 "privacy services");
-  ExpectSameTopK(acc.DblTopCountries(3, 2014), DblTopCountries(db, 3, 2014),
-                 "dbl countries");
-  ExpectSameTopK(acc.DblTopRegistrars(3, 2014), DblTopRegistrars(db, 3, 2014),
-                 "dbl registrars");
-  EXPECT_EQ(acc.CreationHistogram(), CreationHistogram(db));
+// ---------------------------------------------------------------------------
+// SurveyAccumulator against the naive reference: every query, exactly.
 
-  const auto acc_brands = acc.BrandCounts();
-  const auto db_brands = BrandCounts(db, brands);
-  ASSERT_EQ(acc_brands.size(), db_brands.size());
-  for (size_t i = 0; i < acc_brands.size(); ++i) {
-    EXPECT_EQ(acc_brands[i].key, db_brands[i].key);
-    EXPECT_EQ(acc_brands[i].count, db_brands[i].count);
-  }
-
-  const auto acc_comp =
-      acc.CountryProportionsByYear({"US", "CN"}, 2009, 2014);
-  const auto db_comp =
-      CountryProportionsByYear(db, {"US", "CN"}, 2009, 2014);
-  ASSERT_EQ(acc_comp.size(), db_comp.size());
-  for (size_t i = 0; i < acc_comp.size(); ++i) {
-    EXPECT_EQ(acc_comp[i].year, db_comp[i].year);
-    EXPECT_EQ(acc_comp[i].total, db_comp[i].total);
-    EXPECT_EQ(acc_comp[i].shares, db_comp[i].shares);
-  }
-
-  const auto registrars = TopRegistrars(db, 1);
-  if (!registrars.top.empty()) {
-    const std::string& top = registrars.top[0].key;
-    ExpectSameTopK(acc.RegistrarCountryBreakdown(top, 3),
-                   RegistrarCountryBreakdown(db, top, 3),
-                   "registrar countries");
+void ExpectSameTopK(const TopKResult& a, const TopKResult& b,
+                    const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(a.total, b.total);
+  EXPECT_EQ(a.unknown_count, b.unknown_count);
+  EXPECT_EQ(a.other_count, b.other_count);
+  ASSERT_EQ(a.top.size(), b.top.size());
+  for (size_t i = 0; i < a.top.size(); ++i) {
+    EXPECT_EQ(a.top[i].key, b.top[i].key);
+    EXPECT_EQ(a.top[i].count, b.top[i].count);
+    // Exact double equality on purpose: both sides divide the same
+    // integer count by the same integer total, so any difference is an
+    // aggregation bug, not rounding.
+    EXPECT_EQ(a.top[i].share, b.top[i].share);
   }
 }
 
-TEST(SurveyAccumulatorTest, MatchesDatabaseAggregates) {
-  const std::vector<std::string> brands = {"Amazon", "Google", "Microsoft"};
-  SurveyAccumulator acc(brands);
-  SurveyDatabase db;
-  for (const DomainRow& row : SyntheticRows(600)) {
-    acc.Add(row);
-    db.Add(row);
+// Compares every query the §6 tables use, over every year, registrar and
+// k that the rows make interesting (plus an absent year and registrar).
+void ExpectAccumulatorMatchesReference(const SurveyAccumulator& acc,
+                                       const naive::Rows& rows,
+                                       const std::vector<std::string>& brands) {
+  EXPECT_EQ(acc.records(), rows.size());
+  uint64_t privacy = 0;
+  std::set<int> years = {1900};  // a year no row has
+  std::set<std::string> registrars = {"(no such registrar)"};
+  std::set<std::string> countries;
+  for (const DomainRow& row : rows) {
+    if (row.privacy_protected) ++privacy;
+    years.insert(row.created_year);
+    registrars.insert(row.registrar);
+    if (!row.country_code.empty()) countries.insert(row.country_code);
   }
-  ExpectAccumulatorMatchesDatabase(acc, db, brands);
+  EXPECT_EQ(acc.privacy_rows(), privacy);
+  EXPECT_EQ(acc.CreationHistogram(), naive::CreationHistogram(rows));
+
+  for (const size_t k : {size_t{0}, size_t{1}, size_t{3}, size_t{1000}}) {
+    const std::string at = " k=" + std::to_string(k);
+    ExpectSameTopK(acc.TopCountries(k), naive::TopCountries(rows, k),
+                   "countries" + at);
+    ExpectSameTopK(acc.TopRegistrars(k), naive::TopRegistrars(rows, k),
+                   "registrars" + at);
+    ExpectSameTopK(acc.TopPrivacyRegistrars(k),
+                   naive::TopPrivacyRegistrars(rows, k),
+                   "privacy registrars" + at);
+    ExpectSameTopK(acc.TopPrivacyServices(k),
+                   naive::TopPrivacyServices(rows, k),
+                   "privacy services" + at);
+    for (const int year : years) {
+      const std::string in = at + " year=" + std::to_string(year);
+      ExpectSameTopK(acc.TopCountries(k, year),
+                     naive::TopCountries(rows, k, year), "countries" + in);
+      ExpectSameTopK(acc.TopRegistrars(k, year),
+                     naive::TopRegistrars(rows, k, year), "registrars" + in);
+      ExpectSameTopK(acc.DblTopCountries(k, year),
+                     naive::DblTopCountries(rows, k, year),
+                     "dbl countries" + in);
+      ExpectSameTopK(acc.DblTopRegistrars(k, year),
+                     naive::DblTopRegistrars(rows, k, year),
+                     "dbl registrars" + in);
+    }
+    for (const std::string& registrar : registrars) {
+      ExpectSameTopK(acc.RegistrarCountryBreakdown(registrar, k),
+                     naive::RegistrarCountryBreakdown(rows, registrar, k),
+                     "countries of '" + registrar + "'" + at);
+    }
+  }
+
+  const auto acc_brands = acc.BrandCounts();
+  const auto ref_brands = naive::BrandCounts(rows, brands);
+  ASSERT_EQ(acc_brands.size(), ref_brands.size());
+  for (size_t i = 0; i < acc_brands.size(); ++i) {
+    EXPECT_EQ(acc_brands[i].key, ref_brands[i].key);
+    EXPECT_EQ(acc_brands[i].count, ref_brands[i].count);
+  }
+
+  // Tracked lists: none, the first two countries, and every country plus
+  // one that never occurs; over a range wider than the rows' years.
+  std::vector<std::vector<std::string>> tracked = {{}};
+  std::vector<std::string> all(countries.begin(), countries.end());
+  tracked.emplace_back(all.begin(),
+                       all.begin() + std::min<size_t>(2, all.size()));
+  all.push_back("ZZ");
+  tracked.push_back(all);
+  int min_year = 3000;
+  int max_year = 0;
+  for (const DomainRow& row : rows) {
+    if (row.created_year == 0) continue;
+    min_year = std::min(min_year, row.created_year - 1);
+    max_year = std::max(max_year, row.created_year + 1);
+  }
+  for (const auto& list : tracked) {
+    const auto acc_comp =
+        acc.CountryProportionsByYear(list, min_year, max_year);
+    const auto ref_comp =
+        naive::CountryProportionsByYear(rows, list, min_year, max_year);
+    ASSERT_EQ(acc_comp.size(), ref_comp.size());
+    for (size_t i = 0; i < acc_comp.size(); ++i) {
+      EXPECT_EQ(acc_comp[i].year, ref_comp[i].year);
+      EXPECT_EQ(acc_comp[i].total, ref_comp[i].total);
+      EXPECT_EQ(acc_comp[i].shares, ref_comp[i].shares);
+    }
+  }
+}
+
+TEST(SurveyAccumulatorTest, MatchesNaiveRowReference) {
+  const std::vector<std::string> brands = {"Amazon", "Google", "Microsoft"};
+  const naive::Rows rows = SyntheticRows(600);
+  ExpectAccumulatorMatchesReference(Accumulate(rows, brands), rows, brands);
+  const naive::Rows fixed = MakeRows();
+  ExpectAccumulatorMatchesReference(Accumulate(fixed, brands), fixed, brands);
 }
 
 TEST(SurveyAccumulatorTest, StateIsBoundedByKeyCardinality) {
@@ -335,9 +544,10 @@ TEST(SurveyAccumulatorTest, DeserializeRejectsMalformedState) {
                std::runtime_error);
 }
 
-// The satellite check from the scale-run harness: a multi-shard record
-// store streamed through the parser feeds both survey paths; every
-// aggregate must agree exactly, while the accumulator's state stays far
+// A multi-shard record store streamed through the parse pipeline into the
+// accumulator, at 1 and 4 pipeline threads, must answer every query
+// exactly as the naive reference does over rows built by parsing the
+// same records one at a time in order; the accumulator's state stays far
 // below one entry per record.
 TEST(SurveyAccumulatorTest, MultiShardStoreStreamMatchesInMemoryPath) {
   constexpr size_t kTrain = 120;
@@ -347,25 +557,36 @@ TEST(SurveyAccumulatorTest, MultiShardStoreStreamMatchesInMemoryPath) {
   corpus_options.seed = 42;
   const datagen::TemporalCorpusGenerator generator(corpus_options);
   const whois::WhoisParser parser = TrainScaleParser(generator, kTrain);
+  const SurveyNormalizer normalizer(generator.base().registrars());
 
-  const std::string prefix = testing::TempDir() + "whoiscrf_survey_store_" +
+  const std::string prefix = testing::TempDir() + "whoiscrf_acc_store_" +
                              std::to_string(getpid());
   whois::RecordStoreOptions store_options;
   store_options.records_per_shard = 100;  // force multiple shards
+  naive::Rows rows;
   {
     whois::RecordStoreWriter writer(prefix, store_options);
+    whois::ParseWorkspace ws;
     for (size_t i = 0; i < kCount; ++i) {
-      writer.Append(generator.Generate(i).thick.text);
+      const std::string text = generator.Generate(i).thick.text;
+      writer.Append(text);
+      const whois::ParsedWhois parsed = parser.Parse(text, ws);
+      rows.push_back(RowFromParse(parsed.domain_name, parsed,
+                                  generator.base().registrars(),
+                                  /*on_dbl=*/false));
     }
     writer.Finish();
   }
-
   const whois::RecordStoreReader store(prefix);
-  const whois::StreamPipelineOptions pipeline;
-  const SurveyNormalizer normalizer(generator.base().registrars());
+  ASSERT_GT(store.size(), store_options.records_per_shard);  // multi-shard
 
-  SurveyAccumulator acc;
-  {
+  std::string one_thread_state;
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("pipeline threads " + std::to_string(threads));
+    whois::StreamPipelineOptions pipeline;
+    pipeline.threads = threads;
+    pipeline.batch_records = 16;  // many batches in flight at 4 threads
+    SurveyAccumulator acc;
     whois::StoreRecordSource source(store);
     whois::ParseStream(parser, source, pipeline,
                        [&](uint64_t, const std::string&,
@@ -373,21 +594,23 @@ TEST(SurveyAccumulatorTest, MultiShardStoreStreamMatchesInMemoryPath) {
                          acc.Add(RowFromParse(parsed.domain_name, parsed,
                                               normalizer, /*on_dbl=*/false));
                        });
-  }
-  whois::StoreRecordSource source(store);
-  const SurveyDatabase db = BuildDatabaseFromStream(
-      source, parser, generator.base().registrars(), pipeline);
+    EXPECT_EQ(acc.records(), kCount);
+    ExpectAccumulatorMatchesReference(acc, rows, {});
+    if (threads == 1) {
+      one_thread_state = acc.Serialize();
+    } else {
+      EXPECT_EQ(acc.Serialize(), one_thread_state);
+    }
 
-  ASSERT_GT(store.size(), store_options.records_per_shard);  // multi-shard
-  EXPECT_EQ(acc.records(), kCount);
-  ExpectAccumulatorMatchesDatabase(acc, db, {});
-  // Bounded memory: replaying every row a second time doubles the record
-  // count but adds zero state — the accumulator holds aggregates keyed by
-  // the corpus's (year, registrar, country) cardinality, not rows.
-  const size_t entries_after_one_pass = acc.state_entries();
-  for (const DomainRow& row : db.rows()) acc.Add(row);
-  EXPECT_EQ(acc.records(), 2 * kCount);
-  EXPECT_EQ(acc.state_entries(), entries_after_one_pass);
+    // Bounded memory: replaying every row a second time doubles the
+    // record count but adds zero state — the accumulator holds aggregates
+    // keyed by the corpus's (year, registrar, country) cardinality, not
+    // rows.
+    const size_t entries_after_one_pass = acc.state_entries();
+    for (const DomainRow& row : rows) acc.Add(row);
+    EXPECT_EQ(acc.records(), 2 * kCount);
+    EXPECT_EQ(acc.state_entries(), entries_after_one_pass);
+  }
 
   for (size_t s = 0; s < 8; ++s) {
     std::remove(whois::RecordStoreShardPath(prefix, s).c_str());
