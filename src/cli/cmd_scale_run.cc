@@ -65,6 +65,7 @@ bool WriteBenchArtifact(const std::string& path,
   os << "  \"stalls\": {\"reader_s\": " << result.stats.reader_stall_seconds
      << ", \"worker_s\": " << result.stats.worker_stall_seconds
      << ", \"sink_s\": " << result.stats.sink_stall_seconds
+     << ", \"sink_busy_s\": " << result.stats.sink_busy_seconds
      << ", \"batches\": " << result.stats.batches << "},\n";
   os << "  \"peak_rss_kb\": " << result.peak_rss_kb << ",\n";
   os << "  \"checksums_match\": " << (checksums_match ? "true" : "false")
@@ -254,10 +255,11 @@ int CmdScaleRun(util::FlagParser& flags) {
                checkpoint_overhead_pct, result.peak_rss_kb);
   std::fprintf(stderr,
                "scale-run: stalls — reader %.2fs, worker %.2fs, "
-               "sink %.2fs\n",
+               "sink %.2fs; sink busy %.2fs\n",
                result.stats.reader_stall_seconds,
                result.stats.worker_stall_seconds,
-               result.stats.sink_stall_seconds);
+               result.stats.sink_stall_seconds,
+               result.stats.sink_busy_seconds);
 
   const std::string tables =
       survey::RenderScaleSurveyTables(result.survey, top_k);

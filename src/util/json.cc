@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "util/byte_scan.h"
 
@@ -98,34 +99,44 @@ void JsonWriter::MaybeComma() {
     after_key_ = false;
     return;
   }
-  if (need_comma_.back()) out_ += ',';
-  need_comma_.back() = true;
+  if (need_comma_ & 1) out_ += ',';
+  need_comma_ |= 1;
+}
+
+void JsonWriter::Open(char bracket) {
+  if (depth_ == kMaxDepth) {
+    throw std::length_error("JsonWriter: containers nested deeper than 63");
+  }
+  MaybeComma();
+  out_ += bracket;
+  need_comma_ <<= 1;
+  ++depth_;
+}
+
+void JsonWriter::Close(char bracket) {
+  out_ += bracket;
+  need_comma_ >>= 1;
+  --depth_;
 }
 
 // NOLINTBEGIN(readability-identifier-naming)
 JsonWriter& JsonWriter::BeginObject() {
-  MaybeComma();
-  out_ += '{';
-  need_comma_.push_back(false);
+  Open('{');
   return *this;
 }
 
 JsonWriter& JsonWriter::EndObject() {
-  out_ += '}';
-  need_comma_.pop_back();
+  Close('}');
   return *this;
 }
 
 JsonWriter& JsonWriter::BeginArray() {
-  MaybeComma();
-  out_ += '[';
-  need_comma_.push_back(false);
+  Open('[');
   return *this;
 }
 
 JsonWriter& JsonWriter::EndArray() {
-  out_ += ']';
-  need_comma_.pop_back();
+  Close(']');
   return *this;
 }
 

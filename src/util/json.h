@@ -5,15 +5,23 @@
 // (insertion order).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace whoiscrf::util {
 
 class JsonWriter {
  public:
+  // Containers may nest this deep; one more Begin* throws
+  // std::length_error. The comma state of the top level and of every open
+  // container is one bit of a uint64_t.
+  static constexpr int kMaxDepth = 63;
+
   JsonWriter() { out_.reserve(256); }
+  // Starts with `reserve_bytes` of output capacity.
+  explicit JsonWriter(size_t reserve_bytes) { out_.reserve(reserve_bytes); }
 
   JsonWriter& BeginObject();
   JsonWriter& EndObject();
@@ -43,9 +51,14 @@ class JsonWriter {
 
  private:
   void MaybeComma();
+  void Open(char bracket);
+  void Close(char bracket);
   std::string out_;
-  // True when the next value at this nesting level needs a ',' first.
-  std::vector<bool> need_comma_{false};
+  // Bit d is set when the next value d levels out from the innermost open
+  // container needs a ',' first; Open shifts in a level, Close shifts it
+  // out.
+  uint64_t need_comma_ = 0;
+  int depth_ = 0;  // open containers
   bool after_key_ = false;
 };
 

@@ -31,10 +31,40 @@ void WriteContact(util::JsonWriter& json, const Contact& contact) {
   json.EndObject();
 }
 
+// ToJson's output size when no value needs escaping, rounded up: each
+// field is its value plus at most kFieldBytes of key, quotes, colon and
+// comma; each array element adds quotes and a comma.
+constexpr size_t kFieldBytes = 18;  // longest key is 12 bytes
+
+size_t FieldBytes(const std::string& value) {
+  return value.empty() ? 0 : value.size() + kFieldBytes;
+}
+
+size_t FieldBytes(const std::vector<std::string>& values) {
+  if (values.empty()) return 0;
+  size_t bytes = kFieldBytes;
+  for (const std::string& v : values) bytes += v.size() + 3;
+  return bytes;
+}
+
+size_t JsonBytes(const ParsedWhois& p) {
+  const Contact& c = p.registrant;
+  return 64 +  // braces, the registrant key, parseLogProb and its number
+         FieldBytes(p.domain_name) + FieldBytes(p.registrar) +
+         FieldBytes(p.registrar_url) + FieldBytes(p.whois_server) +
+         FieldBytes(p.created) + FieldBytes(p.updated) +
+         FieldBytes(p.expires) + FieldBytes(p.name_servers) +
+         FieldBytes(p.statuses) + FieldBytes(c.name) + FieldBytes(c.id) +
+         FieldBytes(c.org) + FieldBytes(c.street) + FieldBytes(c.city) +
+         FieldBytes(c.state) + FieldBytes(c.postcode) +
+         FieldBytes(c.country) + FieldBytes(c.phone) + FieldBytes(c.fax) +
+         FieldBytes(c.email) + FieldBytes(c.other);
+}
+
 }  // namespace
 
 std::string ToJson(const ParsedWhois& parsed) {
-  util::JsonWriter json;
+  util::JsonWriter json(JsonBytes(parsed));
   json.BeginObject();
   json.FieldIfNonEmpty("domainName", parsed.domain_name);
   json.FieldIfNonEmpty("registrar", parsed.registrar);

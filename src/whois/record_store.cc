@@ -5,7 +5,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
@@ -15,22 +17,6 @@
 namespace whoiscrf::whois {
 
 namespace {
-
-void WriteU32(std::FILE* f, uint32_t v) {
-  unsigned char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  if (std::fwrite(b, 1, 4, f) != 4) {
-    throw std::runtime_error("record store: short write");
-  }
-}
-
-void WriteU64(std::FILE* f, uint64_t v) {
-  unsigned char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  if (std::fwrite(b, 1, 8, f) != 8) {
-    throw std::runtime_error("record store: short write");
-  }
-}
 
 uint32_t LoadU32(const char* p) {
   uint32_t v = 0;
@@ -46,6 +32,27 @@ uint64_t LoadU64(const char* p) {
     v = (v << 8) | static_cast<unsigned char>(p[i]);
   }
   return v;
+}
+
+std::runtime_error SysError(const char* what) {
+  return std::runtime_error(std::string("record store: ") + what + ": " +
+                            std::strerror(errno));
+}
+
+// Reads up to `n` bytes at `offset`, stopping early only at end of file.
+size_t PreadFull(int fd, char* out, size_t n, uint64_t offset) {
+  size_t done = 0;
+  while (done < n) {
+    const ssize_t r = ::pread(fd, out + done, n - done,
+                              static_cast<off_t>(offset + done));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      throw SysError("pread failed");
+    }
+    if (r == 0) break;
+    done += static_cast<size_t>(r);
+  }
+  return done;
 }
 
 // In-progress shards live beside their final name until sealed.
@@ -84,7 +91,12 @@ RecordStoreWriter::RecordStoreWriter(std::string prefix,
                                      const StoreCursor& resume_from)
     : prefix_(std::move(prefix)), options_(options) {
   if (options_.records_per_shard == 0) options_.records_per_shard = 1;
-  ResumeShard(resume_from);
+  try {
+    ResumeShard(resume_from);
+  } catch (...) {
+    if (fd_ >= 0) ::close(fd_);
+    throw;
+  }
 }
 
 RecordStoreWriter::~RecordStoreWriter() {
@@ -96,36 +108,99 @@ RecordStoreWriter::~RecordStoreWriter() {
   }
 }
 
+void RecordStoreWriter::Put(const char* data, size_t n) {
+  while (n > 0) {
+    const size_t take = std::min(n, kRecordStoreBufferBytes - buf_len_);
+    std::memcpy(buf_.get() + buf_len_, data, take);
+    buf_len_ += take;
+    data += take;
+    n -= take;
+    if (buf_len_ == kRecordStoreBufferBytes) {
+      const uint64_t offset = file_bytes_;
+      WriteBuffer();
+      StartWriteback(offset, kRecordStoreBufferBytes);
+    }
+  }
+}
+
+void RecordStoreWriter::PutU32(uint32_t v) {
+  char b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>(v >> (8 * i));
+  Put(b, 4);
+}
+
+void RecordStoreWriter::PutU64(uint64_t v) {
+  char b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
+  Put(b, 8);
+}
+
+void RecordStoreWriter::WriteBuffer() {
+  size_t done = 0;
+  while (done < buf_len_) {
+    const ssize_t n = ::pwrite(fd_, buf_.get() + done, buf_len_ - done,
+                               static_cast<off_t>(file_bytes_ + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw SysError("write failed");
+    }
+    done += static_cast<size_t>(n);
+  }
+  file_bytes_ += buf_len_;
+  buf_len_ = 0;
+}
+
+void RecordStoreWriter::StartWriteback(uint64_t offset, uint64_t length) {
+  if (!writeback_hint_) return;
+  if (::sync_file_range(fd_, static_cast<off_t>(offset),
+                        static_cast<off_t>(length),
+                        SYNC_FILE_RANGE_WRITE) == 0) {
+    return;
+  }
+  if (errno == EINVAL || errno == ENOSYS || errno == ESPIPE) {
+    writeback_hint_ = false;  // unsupported here; fsync still does it all
+    return;
+  }
+  throw SysError("sync_file_range failed");
+}
+
 void RecordStoreWriter::OpenShard() {
   const std::string path = ShardTmpPath(prefix_, shard_index_);
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) {
+  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd_ < 0) {
     throw std::runtime_error("cannot open for write: " + path);
   }
+  if (!buf_) buf_.reset(new char[kRecordStoreBufferBytes]);
+  buf_len_ = 0;
+  file_bytes_ = 0;
   ++shard_index_;
   offsets_.clear();
-  WriteU32(file_, kRecordStoreMagic);
-  WriteU32(file_, kRecordStoreVersion);
+  PutU32(kRecordStoreMagic);
+  PutU32(kRecordStoreVersion);
   shard_bytes_ = 8;
 }
 
 void RecordStoreWriter::SealShard() {
-  if (file_ == nullptr) return;
+  if (fd_ < 0) return;
   const uint64_t index_offset = shard_bytes_;
-  for (uint64_t off : offsets_) WriteU64(file_, off);
-  WriteU64(file_, offsets_.size());
-  WriteU64(file_, index_offset);
-  WriteU32(file_, kRecordStoreMagic);
+  for (uint64_t off : offsets_) PutU64(off);
+  PutU64(offsets_.size());
+  PutU64(index_offset);
+  PutU32(kRecordStoreMagic);
   // Make the shard durable *before* it appears under its final name:
   // readers discover `.wrs` files, so a sealed shard must never be torn.
-  if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
-    std::fclose(file_);
-    file_ = nullptr;
-    throw std::runtime_error("record store: fsync failed");
+  try {
+    WriteBuffer();
+    if (::fsync(fd_) != 0) throw SysError("fsync failed");
+  } catch (...) {
+    ::close(fd_);
+    fd_ = -1;
+    buf_len_ = 0;
+    throw;
   }
-  const int rc = std::fclose(file_);
-  file_ = nullptr;
-  if (rc != 0) throw std::runtime_error("record store: close failed");
+  const int rc = ::close(fd_);
+  fd_ = -1;
+  if (rc != 0) throw SysError("close failed");
   const size_t sealed = shard_index_ - 1;
   const std::string tmp = ShardTmpPath(prefix_, sealed);
   const std::string final_path = RecordStoreShardPath(prefix_, sealed);
@@ -136,16 +211,15 @@ void RecordStoreWriter::SealShard() {
 }
 
 void RecordStoreWriter::Sync() {
-  if (file_ == nullptr) return;
-  if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
-    throw std::runtime_error("record store: sync failed");
-  }
+  if (fd_ < 0) return;
+  WriteBuffer();
+  if (::fsync(fd_) != 0) throw SysError("sync failed");
 }
 
 StoreCursor RecordStoreWriter::cursor() const {
   StoreCursor c;
   c.records = total_records_;
-  if (file_ != nullptr) {
+  if (fd_ >= 0) {
     c.shard_index = shard_index_ - 1;
     c.shard_records = offsets_.size();
     c.shard_bytes = shard_bytes_;
@@ -175,68 +249,81 @@ void RecordStoreWriter::ResumeShard(const StoreCursor& resume_from) {
   // name; un-seal it so the truncate-and-continue path below applies
   // uniformly. rename() fails harmlessly when only the .tmp exists.
   std::rename(final_path.c_str(), tmp.c_str());
-  file_ = std::fopen(tmp.c_str(), "r+b");
-  if (file_ == nullptr) {
+  fd_ = ::open(tmp.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd_ < 0) {
     throw std::runtime_error("record store resume: missing shard " + tmp);
   }
-  if (::ftruncate(::fileno(file_),
-                  static_cast<off_t>(resume_from.shard_bytes)) != 0) {
+  const uint64_t end = resume_from.shard_bytes;
+  if (::ftruncate(fd_, static_cast<off_t>(end)) != 0) {
     throw std::runtime_error("record store resume: cannot truncate " + tmp);
   }
+  if (!buf_) buf_.reset(new char[kRecordStoreBufferBytes]);
+  // Rebuild the in-memory index by walking the length prefixes up to the
+  // cursor; any mismatch means the checkpoint and the shard disagree. The
+  // (still empty) write buffer doubles as the read window, so the walk
+  // costs one pread per buffer of shard bytes, not one per record.
+  uint64_t window_start = 0;
+  size_t window_len = 0;
+  auto read_at = [&](uint64_t off, char* out, size_t n) {
+    if (off < window_start || off + n > window_start + window_len) {
+      window_start = off;
+      window_len = PreadFull(
+          fd_, buf_.get(),
+          static_cast<size_t>(std::min<uint64_t>(kRecordStoreBufferBytes,
+                                                 end - off)),
+          off);
+      if (window_len < n) return false;
+    }
+    std::memcpy(out, buf_.get() + (off - window_start), n);
+    return true;
+  };
   char header[8];
-  if (std::fread(header, 1, 8, file_) != 8 ||
+  if (end < 8 || !read_at(0, header, 8) ||
       LoadU32(header) != kRecordStoreMagic ||
       LoadU32(header + 4) != kRecordStoreVersion) {
     throw std::runtime_error("record store resume: bad header in " + tmp);
   }
-  // Rebuild the in-memory index by walking the length prefixes up to the
-  // cursor; any mismatch means the checkpoint and the shard disagree.
   offsets_.clear();
   uint64_t off = 8;
   for (uint64_t i = 0; i < resume_from.shard_records; ++i) {
     char len_bytes[4];
-    if (off + 4 > resume_from.shard_bytes ||
-        std::fread(len_bytes, 1, 4, file_) != 4) {
+    if (off + 4 > end || !read_at(off, len_bytes, 4)) {
       throw std::runtime_error("record store resume: truncated shard " + tmp);
     }
     const uint32_t len = LoadU32(len_bytes);
-    if (off + 4 + len > resume_from.shard_bytes) {
+    if (off + 4 + len > end) {
       throw std::runtime_error("record store resume: record overruns cursor " +
                                tmp);
     }
     offsets_.push_back(off);
     off += 4 + len;
-    if (std::fseek(file_, static_cast<long>(off), SEEK_SET) != 0) {
-      throw std::runtime_error("record store resume: seek failed in " + tmp);
-    }
   }
-  if (off != resume_from.shard_bytes) {
+  if (off != end) {
     throw std::runtime_error(
         "record store resume: cursor does not land on a record boundary in " +
         tmp);
   }
-  shard_bytes_ = resume_from.shard_bytes;
+  buf_len_ = 0;
+  file_bytes_ = end;
+  shard_bytes_ = end;
   shard_index_ = resume_from.shard_index + 1;  // this shard counts as opened
   RemoveShardsFrom(prefix_, shard_index_);
 }
 
 void RecordStoreWriter::Append(std::string_view record) {
-  if (file_ != nullptr && offsets_.size() >= options_.records_per_shard) {
+  if (fd_ >= 0 && offsets_.size() >= options_.records_per_shard) {
     SealShard();
   }
-  if (file_ == nullptr) OpenShard();
+  if (fd_ < 0) OpenShard();
   offsets_.push_back(shard_bytes_);
-  WriteU32(file_, static_cast<uint32_t>(record.size()));
-  if (!record.empty() &&
-      std::fwrite(record.data(), 1, record.size(), file_) != record.size()) {
-    throw std::runtime_error("record store: short write");
-  }
+  PutU32(static_cast<uint32_t>(record.size()));
+  Put(record.data(), record.size());
   shard_bytes_ += 4 + record.size();
   ++total_records_;
 }
 
 void RecordStoreWriter::Finish() {
-  if (file_ == nullptr && total_records_ == 0 && shard_index_ == 0) {
+  if (fd_ < 0 && total_records_ == 0 && shard_index_ == 0) {
     // An empty store still gets one (empty) shard so readers can open it.
     OpenShard();
   }
@@ -334,6 +421,12 @@ void RecordStoreReader::ReadBytes(const Shard& shard, uint64_t offset,
 }
 
 std::string RecordStoreReader::Get(uint64_t index) const {
+  std::string record;
+  GetInto(index, record);
+  return record;
+}
+
+void RecordStoreReader::GetInto(uint64_t index, std::string& out) const {
   if (index >= total_records_) {
     throw std::out_of_range("record store index out of range");
   }
@@ -347,9 +440,8 @@ std::string RecordStoreReader::Get(uint64_t index) const {
   char len_bytes[4];
   ReadBytes(shard, offset, len_bytes, 4);
   const uint32_t len = LoadU32(len_bytes);
-  std::string record(len, '\0');
-  if (len > 0) ReadBytes(shard, offset + 4, record.data(), len);
-  return record;
+  out.resize(len);
+  if (len > 0) ReadBytes(shard, offset + 4, out.data(), len);
 }
 
 }  // namespace whoiscrf::whois

@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -35,6 +34,12 @@ namespace whoiscrf::whois {
 
 inline constexpr uint32_t kRecordStoreMagic = 0x31535257;  // "WRS1"
 inline constexpr uint32_t kRecordStoreVersion = 1;
+
+// Bytes a writer buffers before handing them to the kernel with one
+// write(2). Each full buffer is followed by a SYNC_FILE_RANGE_WRITE hint
+// that starts writeback of exactly that range, so the fsync at the next
+// Sync()/Finish() finds little dirty data left to flush.
+inline constexpr size_t kRecordStoreBufferBytes = size_t{1} << 20;
 
 struct RecordStoreOptions {
   // Shard roll-over threshold. 1<<20 records * ~1KB records ≈ 1GB shards
@@ -59,6 +64,11 @@ struct StoreCursor {
 // final `.wrs` name only after the index + footer are written and
 // fsync'd, so a final shard file is always complete — a crash mid-write
 // or mid-finalize leaves only a `.tmp`, which readers never discover.
+//
+// The writeback hint after each full buffer only starts I/O early; fsync
+// in Sync() and Finish() stays the only durability point. Kernels or
+// filesystems that reject the hint (EINVAL, ENOSYS, ESPIPE) switch it off
+// for this writer; any other hint error throws, as a failed write does.
 class RecordStoreWriter {
  public:
   explicit RecordStoreWriter(std::string prefix,
@@ -83,8 +93,8 @@ class RecordStoreWriter {
   // its final name. Idempotent.
   void Finish();
 
-  // Flushes and fsyncs the open shard so every record appended so far is
-  // durable at cursor(). No-op when no shard is open.
+  // Writes out the buffer and fsyncs the open shard so every record
+  // appended so far is durable at cursor(). No-op when no shard is open.
   void Sync();
 
   // The current durable-resume position. Capture only after Sync() (or
@@ -99,14 +109,26 @@ class RecordStoreWriter {
   void OpenShard();
   void SealShard();
   void ResumeShard(const StoreCursor& resume_from);
+  // Appends to the buffer; a full buffer goes to the kernel, then gets the
+  // writeback hint.
+  void Put(const char* data, size_t n);
+  void PutU32(uint32_t v);
+  void PutU64(uint64_t v);
+  // Hands the buffered bytes to the kernel at file_bytes_.
+  void WriteBuffer();
+  void StartWriteback(uint64_t offset, uint64_t length);
 
   std::string prefix_;
   RecordStoreOptions options_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;                  // open shard, -1 between shards
+  std::unique_ptr<char[]> buf_;  // kRecordStoreBufferBytes, on first open
+  size_t buf_len_ = 0;           // bytes buffered, not yet written
+  uint64_t file_bytes_ = 0;      // bytes of the open shard in the kernel
+  bool writeback_hint_ = true;
   size_t shard_index_ = 0;       // shards opened so far
   uint64_t total_records_ = 0;
   std::vector<uint64_t> offsets_;  // current shard's index
-  uint64_t shard_bytes_ = 0;
+  uint64_t shard_bytes_ = 0;     // logical shard size, buffered bytes included
 };
 
 // Random-access + streaming reader over a sharded store. Shard files are
@@ -128,6 +150,8 @@ class RecordStoreReader {
 
   // Fetches record `index` (global, 0-based). Throws std::out_of_range.
   std::string Get(uint64_t index) const;
+  // Same, into `out`, reusing its capacity.
+  void GetInto(uint64_t index, std::string& out) const;
 
  private:
   struct Shard {
@@ -153,7 +177,7 @@ class StoreRecordSource : public RecordSource {
       : reader_(reader) {}
   bool Next(std::string& record) override {
     if (pos_ >= reader_.size()) return false;
-    record = reader_.Get(pos_++);
+    reader_.GetInto(pos_++, record);
     return true;
   }
   // Stores are indexed, so a resume skip is a cursor move, not a scan.

@@ -31,6 +31,7 @@ struct StreamMetrics {
   obs::Gauge* reader_stall_seconds;
   obs::Gauge* worker_stall_seconds;
   obs::Gauge* sink_stall_seconds;
+  obs::Gauge* sink_busy_seconds;
   obs::Gauge* input_depth;
   obs::Gauge* output_depth;
 };
@@ -61,6 +62,10 @@ const StreamMetrics& GetStreamMetrics() {
     m.sink_stall_seconds = reg.GetGauge(
         "whoiscrf_stream_sink_stall_seconds_total",
         "Cumulative seconds the in-order sink blocked waiting for parses");
+    m.sink_busy_seconds = reg.GetGauge(
+        "whoiscrf_stream_sink_busy_seconds_total",
+        "Cumulative seconds the calling thread spent inside sink and "
+        "quarantine callbacks");
     m.input_depth = reg.GetGauge(
         "whoiscrf_stream_queue_depth",
         "Batches currently queued between pipeline stages",
@@ -83,6 +88,21 @@ struct Batch {
   // quarantined (parses[r] is a placeholder). Empty vector when
   // containment is off.
   std::vector<std::string> errors;
+};
+
+// Record buffers above this capacity are freed, not reused; WHOIS records
+// are a few KiB.
+constexpr size_t kMaxKeptRecordBytes = 64 * 1024;
+
+// Spent batches travel back from the sink to the reader, which destroys
+// their parses and refills their record strings. Pushing never blocks the
+// sink: every batch on the list was admitted by the bounded queues, so
+// the list is bounded by the batches in circulation.
+struct ReturnedBatches {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<Batch> batches;
+  bool sink_done = false;  // no batch will be returned any more
 };
 
 }  // namespace
@@ -125,28 +145,54 @@ StreamPipelineStats ParseStream(
   // is enough.
   std::atomic<uint64_t> progress{0};
 
+  ReturnedBatches returned;
+
   std::thread reader([&] {
     double stalled = 0.0;
+    // Drained batches: parses freed, record strings kept for their
+    // capacity. The reader allocates a batch only when none is spare.
+    std::vector<Batch> spare;
     try {
-      Batch batch;
+      std::vector<Batch> drained;
       uint64_t seq = 0;
       uint64_t next_index = 0;
       bool more = true;
       while (more) {
+        {
+          std::lock_guard<std::mutex> lock(returned.mu);
+          drained.swap(returned.batches);
+        }
+        for (Batch& spent : drained) {
+          spent.parses.clear();
+          spent.errors.clear();
+          // An outsized record's buffer is not worth keeping for the run.
+          for (std::string& record : spent.records) {
+            if (record.capacity() > kMaxKeptRecordBytes) {
+              std::string().swap(record);
+            }
+          }
+          spare.push_back(std::move(spent));
+        }
+        drained.clear();
+        Batch batch;
+        if (!spare.empty()) {
+          batch = std::move(spare.back());
+          spare.pop_back();
+        }
         batch.seq = seq;
         batch.first_index = next_index;
-        batch.records.clear();
-        std::string record;
-        while (batch.records.size() < batch_records &&
-               (more = source.Next(record))) {
-          batch.records.push_back(std::move(record));
+        size_t filled = 0;
+        while (filled < batch_records) {
+          if (filled == batch.records.size()) batch.records.emplace_back();
+          if (!(more = source.Next(batch.records[filled]))) break;
+          ++filled;
         }
-        if (batch.records.empty()) break;
-        next_index += batch.records.size();
+        batch.records.resize(filled);
+        if (filled == 0) break;
+        next_index += filled;
         if (!input.Push(std::move(batch), &stalled)) break;  // cancelled
         progress.fetch_add(1, std::memory_order_relaxed);
         metrics.input_depth->Set(static_cast<double>(input.Size()));
-        batch = Batch{};
         ++seq;
       }
     } catch (...) {
@@ -155,6 +201,20 @@ StreamPipelineStats ParseStream(
     input.Close();
     metrics.reader_stall_seconds->Add(stalled);
     stats.reader_stall_seconds = stalled;
+    // Input is done; keep freeing what the sink hands back until it ends,
+    // so the tail of the run is not freed on the sink either.
+    spare.clear();
+    for (;;) {
+      std::vector<Batch> drained;
+      std::unique_lock<std::mutex> lock(returned.mu);
+      returned.cv.wait(lock, [&] {
+        return !returned.batches.empty() || returned.sink_done;
+      });
+      const bool done = returned.sink_done;
+      drained.swap(returned.batches);
+      lock.unlock();
+      if (done && drained.empty()) break;
+    }
   });
 
   // The last worker out closes the output queue so the sink loop ends.
@@ -280,6 +340,7 @@ StreamPipelineStats ParseStream(
   uint64_t emitted = 0;
   uint64_t quarantined = 0;
   double sink_stalled = 0.0;
+  double sink_busy = 0.0;
   try {
     while (auto batch = output.Pop(&sink_stalled)) {
       progress.fetch_add(1, std::memory_order_relaxed);
@@ -287,6 +348,7 @@ StreamPipelineStats ParseStream(
       for (auto it = pending.find(next_seq); it != pending.end();
            it = pending.find(next_seq)) {
         const Batch& ready = it->second;
+        const auto busy_start = std::chrono::steady_clock::now();
         for (size_t r = 0; r < ready.records.size(); ++r) {
           const uint64_t index = ready.first_index + r;
           if (!ready.errors.empty() && !ready.errors[r].empty()) {
@@ -297,8 +359,16 @@ StreamPipelineStats ParseStream(
             ++emitted;
           }
         }
+        sink_busy += std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - busy_start)
+                         .count();
         ++stats.batches;
         progress.fetch_add(1, std::memory_order_relaxed);
+        {
+          std::lock_guard<std::mutex> lock(returned.mu);
+          returned.batches.push_back(std::move(it->second));
+        }
+        returned.cv.notify_one();
         pending.erase(it);
         ++next_seq;
       }
@@ -306,6 +376,11 @@ StreamPipelineStats ParseStream(
   } catch (...) {
     fail(std::current_exception());
   }
+  {
+    std::lock_guard<std::mutex> lock(returned.mu);
+    returned.sink_done = true;
+  }
+  returned.cv.notify_one();
 
   reader.join();
   for (std::thread& worker : workers) worker.join();
@@ -326,10 +401,12 @@ StreamPipelineStats ParseStream(
   stats.records = emitted;
   stats.quarantined = quarantined;
   stats.sink_stall_seconds = sink_stalled;
+  stats.sink_busy_seconds = sink_busy;
   metrics.records->Inc(emitted);
   metrics.quarantined->Inc(quarantined);
   metrics.batches->Inc(stats.batches);
   metrics.sink_stall_seconds->Add(sink_stalled);
+  metrics.sink_busy_seconds->Add(sink_busy);
   metrics.input_depth->Set(0.0);
   metrics.output_depth->Set(0.0);
   return stats;

@@ -13,6 +13,10 @@
 // (input capacity + workers + output capacity) batches because every
 // upstream stage blocks on its queue.
 //
+// Batch recycling: the sink hands each spent batch back to the reader,
+// which destroys its parses and reuses its record strings' capacity for
+// the next reads, so the in-order thread runs sink calls and little else.
+//
 // Backpressure contract: the reader blocks once `queue_capacity` batches
 // are waiting to be parsed; workers block once `queue_capacity` parsed
 // batches are waiting to be emitted. A throwing sink (or source) cancels
@@ -52,7 +56,10 @@ struct StreamPipelineOptions {
   // against ~100µs parses; small enough to keep batches cache-friendly.
   size_t batch_records = 64;
   // Batches each queue may hold before its producer blocks. Peak pipeline
-  // memory ≈ (2*queue_capacity + threads + stash) * batch_records records.
+  // memory ≈ (2*queue_capacity + threads + stash + 2) * batch_records
+  // records and parses: every batch is in flight, being filled or drained
+  // by the reader, or a spare (record strings only), and the reader
+  // allocates a batch only when no spare is left.
   size_t queue_capacity = 8;
   // Per-record error containment: when set, a record whose parse throws is
   // NOT emitted to the sink; instead `on_quarantine(index, record, reason)`
@@ -90,6 +97,8 @@ struct StreamPipelineStats {
   double reader_stall_seconds = 0.0;  // reader blocked on a full input queue
   double worker_stall_seconds = 0.0;  // workers blocked (empty in/full out)
   double sink_stall_seconds = 0.0;    // caller blocked on an empty out queue
+  // Caller time inside sink and quarantine callbacks, timed per batch.
+  double sink_busy_seconds = 0.0;
 };
 
 // Parses every record of `source`, invoking

@@ -7,13 +7,17 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cascade/cascade.h"
+#include "datagen/corpus_gen.h"
 #include "util/json.h"
 #include "whois/json_export.h"
+#include "whois/whois_parser.h"
 
 namespace whoiscrf {
 namespace {
@@ -167,6 +171,52 @@ TEST(JsonWriterTest, NumbersMatchPrintfOverEdgeAndRandomValues) {
   }
 }
 
+TEST(JsonWriterTest, NestsToMaxDepthThenThrows) {
+  // Alternating arrays and objects, each level holding a value or an
+  // empty container before the next level, so every level's comma state
+  // must survive the levels opened and closed inside it.
+  constexpr int kDepth = util::JsonWriter::kMaxDepth;
+  util::JsonWriter json;
+  std::string want;
+  for (int d = 0; d < kDepth; ++d) {
+    const bool inner = d + 1 < kDepth;  // room for one more level
+    if (d % 2 == 0) {
+      json.BeginArray().Int(d);
+      want += "[" + std::to_string(d) + ",";
+      if (inner) {
+        json.BeginArray().EndArray();
+        want += "[],";
+      }
+    } else {
+      json.BeginObject();
+      want += "{";
+      if (inner) {
+        json.Key("e").BeginObject().EndObject();
+        want += "\"e\":{},";
+      }
+      json.Key("k");
+      want += "\"k\":";
+    }
+  }
+  json.Int(-1);
+  want += "-1";
+  for (int d = kDepth - 1; d >= 0; --d) {
+    if (d % 2 == 0) {
+      json.Int(d).EndArray();
+      want += "," + std::to_string(d) + "]";
+    } else {
+      json.EndObject();
+      want += "}";
+    }
+  }
+  EXPECT_EQ(json.str(), want);
+
+  util::JsonWriter deep;
+  for (int d = 0; d < kDepth; ++d) deep.BeginArray();
+  EXPECT_THROW(deep.BeginArray(), std::length_error);
+  EXPECT_THROW(deep.BeginObject(), std::length_error);
+}
+
 TEST(JsonWriterTest, FieldIfNonEmptySkipsEmpty) {
   util::JsonWriter json;
   json.BeginObject()
@@ -219,6 +269,179 @@ TEST(JsonExportTest, RdapShape) {
   EXPECT_NE(json.find(R"("roles":["registrar"])"), std::string::npos);
   EXPECT_NE(json.find(R"("roles":["registrant"])"), std::string::npos);
   EXPECT_NE(json.find(R"("ldhName":"ns1.example.com")"), std::string::npos);
+}
+
+// The JSON writer and ToJson as they were before the bit-stack comma state
+// and the up-front reserve: a std::vector<bool> of comma flags per writer
+// and growth by appends. Strings go through the shared escaper (checked on
+// its own in tests/test_byte_scan.cc) and numbers through printf.
+namespace reference {
+
+class Writer {
+ public:
+  Writer& BeginObject() { return Open('{'); }
+  Writer& EndObject() { return Close('}'); }
+  Writer& BeginArray() { return Open('['); }
+  Writer& EndArray() { return Close(']'); }
+  Writer& Key(std::string_view key) {
+    Comma();
+    out_ += '"' + util::JsonWriter::Escape(key) + "\":";
+    after_key_ = true;
+    return *this;
+  }
+  Writer& String(std::string_view value) {
+    Comma();
+    out_ += '"' + util::JsonWriter::Escape(value) + '"';
+    return *this;
+  }
+  Writer& Double(double value) {
+    Comma();
+    if (!std::isfinite(value)) {
+      out_ += "null";
+      return *this;
+    }
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.12g", value);
+    out_ += buf;
+    return *this;
+  }
+  Writer& FieldIfNonEmpty(std::string_view key, std::string_view value) {
+    if (value.empty()) return *this;
+    Key(key);
+    return String(value);
+  }
+  const std::string& str() const { return out_; }
+
+ private:
+  Writer& Open(char bracket) {
+    Comma();
+    out_ += bracket;
+    need_comma_.push_back(false);
+    return *this;
+  }
+  Writer& Close(char bracket) {
+    out_ += bracket;
+    need_comma_.pop_back();
+    return *this;
+  }
+  void Comma() {
+    if (after_key_) {
+      after_key_ = false;
+      return;
+    }
+    if (need_comma_.back()) out_ += ',';
+    need_comma_.back() = true;
+  }
+  std::string out_;
+  std::vector<bool> need_comma_{false};
+  bool after_key_ = false;
+};
+
+void WriteContact(Writer& json, const whois::Contact& contact) {
+  json.BeginObject();
+  json.FieldIfNonEmpty("name", contact.name);
+  json.FieldIfNonEmpty("id", contact.id);
+  json.FieldIfNonEmpty("organization", contact.org);
+  if (!contact.street.empty()) {
+    json.Key("street").BeginArray();
+    for (const auto& line : contact.street) json.String(line);
+    json.EndArray();
+  }
+  json.FieldIfNonEmpty("city", contact.city);
+  json.FieldIfNonEmpty("state", contact.state);
+  json.FieldIfNonEmpty("postalCode", contact.postcode);
+  json.FieldIfNonEmpty("country", contact.country);
+  json.FieldIfNonEmpty("phone", contact.phone);
+  json.FieldIfNonEmpty("fax", contact.fax);
+  json.FieldIfNonEmpty("email", contact.email);
+  if (!contact.other.empty()) {
+    json.Key("other").BeginArray();
+    for (const auto& line : contact.other) json.String(line);
+    json.EndArray();
+  }
+  json.EndObject();
+}
+
+std::string ToJson(const whois::ParsedWhois& parsed) {
+  Writer json;
+  json.BeginObject();
+  json.FieldIfNonEmpty("domainName", parsed.domain_name);
+  json.FieldIfNonEmpty("registrar", parsed.registrar);
+  json.FieldIfNonEmpty("registrarUrl", parsed.registrar_url);
+  json.FieldIfNonEmpty("whoisServer", parsed.whois_server);
+  json.FieldIfNonEmpty("created", parsed.created);
+  json.FieldIfNonEmpty("updated", parsed.updated);
+  json.FieldIfNonEmpty("expires", parsed.expires);
+  if (!parsed.name_servers.empty()) {
+    json.Key("nameServers").BeginArray();
+    for (const auto& ns : parsed.name_servers) json.String(ns);
+    json.EndArray();
+  }
+  if (!parsed.statuses.empty()) {
+    json.Key("statuses").BeginArray();
+    for (const auto& status : parsed.statuses) json.String(status);
+    json.EndArray();
+  }
+  if (!parsed.registrant.Empty()) {
+    json.Key("registrant");
+    WriteContact(json, parsed.registrant);
+  }
+  json.Key("parseLogProb").Double(parsed.log_prob);
+  json.EndObject();
+  return json.str();
+}
+
+}  // namespace reference
+
+std::vector<whois::LabeledRecord> DriftedCorpus(size_t n, uint64_t seed,
+                                                double drift) {
+  datagen::CorpusOptions options;
+  options.size = n;
+  options.seed = seed;
+  options.drift_fraction = drift;
+  const datagen::CorpusGenerator generator(options);
+  std::vector<whois::LabeledRecord> out;
+  for (size_t i = 0; i < n; ++i) out.push_back(generator.Generate(i).thick);
+  return out;
+}
+
+// Rewrites some fields with bytes that need escaping or replacing, so
+// records outgrow the writer's escape-free size estimate.
+void Roughen(whois::ParsedWhois& parsed, size_t i) {
+  static const std::string kHostile[] = {
+      "\"quoted\" \\ back", "tab\there\nnewline", "M\xfcnchen",
+      "\xe5\x8c\x97\xe4\xba\xac", std::string(300, '"')};
+  const std::string& hostile = kHostile[i % 5];
+  switch (i % 4) {
+    case 0: parsed.registrant.name += hostile; break;
+    case 1: parsed.registrar = hostile + parsed.registrar; break;
+    case 2: parsed.name_servers.push_back(hostile); break;
+    default: parsed.registrant.other.push_back(hostile); break;
+  }
+}
+
+TEST(JsonExportTest, MatchesReferenceWriterOverGeneratedParses) {
+  const std::vector<whois::LabeledRecord> train = DriftedCorpus(150, 99, 0.25);
+  const whois::WhoisParser crf = whois::WhoisParser::Train(train);
+  const cascade::CascadeParser cascade(&crf, train);
+  const std::vector<whois::LabeledRecord> records =
+      DriftedCorpus(2600, 7, 0.5);
+  whois::ParseWorkspace ws;
+  size_t compared = 0;
+  size_t rough = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    for (whois::ParsedWhois parsed :
+         {crf.Parse(records[i].text, ws),
+          cascade.ParseRecord(records[i].text, ws)}) {
+      if (i % 7 == 0) {
+        Roughen(parsed, rough++);
+      }
+      ASSERT_EQ(whois::ToJson(parsed), reference::ToJson(parsed))
+          << "record " << i;
+      ++compared;
+    }
+  }
+  EXPECT_GE(compared, 5000u);
 }
 
 }  // namespace

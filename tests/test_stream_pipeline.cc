@@ -308,13 +308,19 @@ TEST(RecordStoreTest, ShardsAreInvisibleUntilSealed) {
 }
 
 TEST(RecordStoreTest, ResumeFromCursorReproducesUninterruptedStore) {
+  // Over 3 MiB of records of varied sizes, so every shard spans several
+  // write buffers.
   std::vector<std::string> records;
-  for (int i = 0; i < 10; ++i) {
-    records.push_back("Domain Name: R" + std::to_string(i) +
-                      ".COM\nRegistrar: Reg\n");
+  uint64_t total_bytes = 0;
+  for (size_t i = 0; total_bytes < 3 * kRecordStoreBufferBytes + 4099; ++i) {
+    std::string r = "Domain Name: R" + std::to_string(i) +
+                    ".COM\nRegistrar: Reg\n";
+    r.append(i * 7919 % 6007, static_cast<char>('a' + i % 26));
+    total_bytes += r.size();
+    records.push_back(std::move(r));
   }
   RecordStoreOptions options;
-  options.records_per_shard = 3;
+  options.records_per_shard = records.size() / 3 + 1;  // three shards
 
   // Reference: one uninterrupted writer.
   const std::string ref = TempPrefix("store_resume_ref");
@@ -324,31 +330,52 @@ TEST(RecordStoreTest, ResumeFromCursorReproducesUninterruptedStore) {
     writer.Finish();
   }
 
-  // Interrupted run: append 5 records, sync, capture the cursor, then
-  // "crash" — keep appending junk the checkpoint never covered and let
-  // the destructor seal whatever it seals.
+  // Interrupted run: append into shard 1, sync, capture the cursor, then
+  // keep appending junk the checkpoint never covered until one more full
+  // buffer has reached the file, plus a partial one. A kill at that point
+  // leaves exactly the bytes the kernel has, so snapshot the open shard's
+  // file as the kill's leftover; the buffered tail never reaches it.
   const std::string prefix = TempPrefix("store_resume");
+  const size_t resume_at = options.records_per_shard + 40;
   StoreCursor cursor;
+  std::string killed_shard;
   {
     RecordStoreWriter writer(prefix, options);
-    for (int i = 0; i < 5; ++i) writer.Append(records[static_cast<size_t>(i)]);
+    for (size_t i = 0; i < resume_at; ++i) writer.Append(records[i]);
     writer.Sync();
     cursor = writer.cursor();
-    writer.Append("JUNK RECORD PAST THE CHECKPOINT\n");
-    writer.Append("MORE JUNK\n");
+    const std::string open_shard =
+        RecordStoreShardPath(prefix, cursor.shard_index) + ".tmp";
+    ASSERT_EQ(ReadFileBytes(open_shard).size(), cursor.shard_bytes);
+    const std::string junk(40000, 'J');
+    while (ReadFileBytes(open_shard).size() == cursor.shard_bytes) {
+      writer.Append(junk);
+    }
+    writer.Append("JUNK RECORD PAST THE LAST FLUSH\n");
+    killed_shard = ReadFileBytes(open_shard);
+    EXPECT_EQ(killed_shard.size() - cursor.shard_bytes,
+              kRecordStoreBufferBytes);  // whole buffers only
+    EXPECT_LT(killed_shard.size(), writer.cursor().shard_bytes);
   }
-  EXPECT_EQ(cursor.records, 5u);
-  EXPECT_EQ(cursor.shard_index, 1u);   // record 5 lives in shard 1
-  EXPECT_EQ(cursor.shard_records, 2u);
+  EXPECT_EQ(cursor.records, resume_at);
+  EXPECT_EQ(cursor.shard_index, 1u);
+  EXPECT_EQ(cursor.shard_records, 40u);
+  // The writer's destructor sealed the shard; put the kill's leftover back.
+  std::remove(RecordStoreShardPath(prefix, cursor.shard_index).c_str());
+  util::AtomicWriteFile(
+      RecordStoreShardPath(prefix, cursor.shard_index) + ".tmp", killed_shard);
 
   // Resume: truncate back to the cursor and append the rest for real.
   {
     RecordStoreWriter writer(prefix, options, cursor);
-    EXPECT_EQ(writer.record_count(), 5u);
-    for (size_t i = 5; i < records.size(); ++i) writer.Append(records[i]);
+    EXPECT_EQ(writer.record_count(), resume_at);
+    for (size_t i = resume_at; i < records.size(); ++i) {
+      writer.Append(records[i]);
+    }
     writer.Finish();
   }
   ExpectStoresIdentical(ref, prefix);
+  EXPECT_EQ(RecordStoreReader(prefix).size(), records.size());
 
   // Resuming at a post-Finish cursor and finishing again is a no-op.
   {
@@ -356,7 +383,7 @@ TEST(RecordStoreTest, ResumeFromCursorReproducesUninterruptedStore) {
     for (const auto& r : records) writer.Append(r);
     writer.Finish();
     RecordStoreWriter again(prefix, options, writer.cursor());
-    EXPECT_EQ(again.record_count(), 10u);
+    EXPECT_EQ(again.record_count(), records.size());
     again.Finish();
   }
   ExpectStoresIdentical(ref, prefix);

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <functional>
 #include <map>
 #include <optional>
@@ -13,11 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "datagen/privacy.h"
 #include "datagen/temporal.h"
 #include "survey/accumulator.h"
 #include "survey/build.h"
 #include "survey/normalize.h"
 #include "survey/scale_run.h"
+#include "util/string_util.h"
 #include "whois/record_store.h"
 #include "whois/stream_pipeline.h"
 
@@ -309,6 +312,151 @@ TEST(PrivacyDetectionTest, GenericKeywords) {
       DetectPrivacyService("Private Registration", "Some Org", &service));
   EXPECT_TRUE(DetectPrivacyService("Identity Shield Inc", "", &service));
   EXPECT_FALSE(DetectPrivacyService("John Smith", "Acme LLC", &service));
+}
+
+// Privacy detection as it was before needles were lowered once: a naive
+// std::tolower substring scan per needle and field. Shares no code with
+// DetectPrivacyService beyond the service table.
+namespace naive {
+
+bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
+  if (needle.empty()) return true;
+  for (size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
+    size_t j = 0;
+    while (j < needle.size() &&
+           std::tolower(static_cast<unsigned char>(haystack[i + j])) ==
+               std::tolower(static_cast<unsigned char>(needle[j]))) {
+      ++j;
+    }
+    if (j == needle.size()) return true;
+  }
+  return false;
+}
+
+constexpr std::string_view kPrivacyKeywords[] = {
+    "privacy",   "proxy",      "private registration", "whois agent",
+    "protected", "whoisguard", "identity shield"};
+
+bool DetectPrivacyService(std::string_view name, std::string_view org,
+                          std::string* canonical_service) {
+  for (const auto& service : datagen::PrivacyServices()) {
+    if (ContainsIgnoreCase(name, service.name) ||
+        ContainsIgnoreCase(org, service.name)) {
+      *canonical_service = std::string(service.name);
+      return true;
+    }
+  }
+  for (std::string_view keyword : kPrivacyKeywords) {
+    if (ContainsIgnoreCase(name, keyword) || ContainsIgnoreCase(org, keyword)) {
+      *canonical_service =
+          org.empty() ? std::string(name) : std::string(org);
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace naive
+
+void ExpectPrivacyMatchesNaive(std::string_view name, std::string_view org) {
+  std::string want = "(untouched)";
+  std::string got = "(untouched)";
+  const bool want_flag = naive::DetectPrivacyService(name, org, &want);
+  EXPECT_EQ(DetectPrivacyService(name, org, &got), want_flag)
+      << "name '" << name << "' org '" << org << "'";
+  EXPECT_EQ(got, want) << "name '" << name << "' org '" << org << "'";
+}
+
+std::string MixedCase(std::string_view s) {
+  std::string out(s);
+  for (size_t i = 0; i < out.size(); ++i) {
+    const auto c = static_cast<unsigned char>(out[i]);
+    out[i] = static_cast<char>(i % 2 == 0 ? std::toupper(c) : std::tolower(c));
+  }
+  return out;
+}
+
+TEST(PrivacyDetectionTest, MatchesNaiveReference) {
+  // A generated world: every registrant, admin and service name as drawn.
+  datagen::TemporalCorpusOptions corpus_options;
+  corpus_options.size = 3000;
+  corpus_options.seed = 11;
+  const datagen::TemporalCorpusGenerator generator(corpus_options);
+  size_t private_count = 0;
+  for (size_t i = 0; i < corpus_options.size; ++i) {
+    const datagen::DomainFacts facts = generator.Generate(i).facts;
+    ExpectPrivacyMatchesNaive(facts.registrant.name, facts.registrant.org);
+    ExpectPrivacyMatchesNaive(facts.admin.name, facts.admin.org);
+    ExpectPrivacyMatchesNaive(facts.privacy_service, "");
+    if (!facts.privacy_service.empty()) ++private_count;
+  }
+  EXPECT_GT(private_count, 0u);
+
+  std::vector<std::string> needles;
+  for (const auto& service : datagen::PrivacyServices()) {
+    needles.emplace_back(service.name);
+  }
+  for (std::string_view keyword : naive::kPrivacyKeywords) {
+    needles.emplace_back(keyword);
+  }
+  for (const std::string& needle : needles) {
+    // Every case, at the start, middle and end, in either field.
+    for (const std::string& cased :
+         {util::ToUpper(needle), util::ToLower(needle), MixedCase(needle)}) {
+      for (const std::string& text :
+           {cased, cased + " LLC", "Acme " + cased + " Ltd", "by " + cased}) {
+        ExpectPrivacyMatchesNaive(text, "");
+        ExpectPrivacyMatchesNaive("", text);
+        ExpectPrivacyMatchesNaive("John Smith", text);
+        ExpectPrivacyMatchesNaive(text, "Acme LLC");
+      }
+    }
+    // Split by one byte anywhere: usually no match (or another needle's).
+    for (size_t cut = 1; cut < needle.size(); ++cut) {
+      for (const char split : {' ', '-', '\0', '\xe9'}) {
+        const std::string broken =
+            needle.substr(0, cut) + split + needle.substr(cut);
+        ExpectPrivacyMatchesNaive(broken, "");
+        ExpectPrivacyMatchesNaive("Org", broken);
+      }
+    }
+    // Bytes >= 0x80 around and inside the needle.
+    ExpectPrivacyMatchesNaive("\xc3\x89" + needle + "\xff", "\x80");
+    ExpectPrivacyMatchesNaive("\xff\xfe", "\xd0\x9f" + MixedCase(needle));
+    std::string high = needle;
+    high[high.size() / 2] = static_cast<char>(
+        static_cast<unsigned char>(high[high.size() / 2]) | 0x80);
+    ExpectPrivacyMatchesNaive(high, high);
+  }
+
+  // A service and a keyword in one field, or one in each: a service wins
+  // and names itself (the earliest in table order when several match, as
+  // with the "whoisguard" keyword, itself a service).
+  auto is_service = [](const std::string& s) {
+    for (const auto& service : datagen::PrivacyServices()) {
+      if (service.name == s) return true;
+    }
+    return false;
+  };
+  for (const auto& service : datagen::PrivacyServices()) {
+    const std::string name(service.name);
+    for (std::string_view keyword : naive::kPrivacyKeywords) {
+      const std::string both = std::string(keyword) + " " + name;
+      ExpectPrivacyMatchesNaive(both, "");
+      ExpectPrivacyMatchesNaive(std::string(keyword), name);
+      ExpectPrivacyMatchesNaive(name, std::string(keyword));
+      std::string canonical;
+      EXPECT_TRUE(DetectPrivacyService(both, "", &canonical));
+      EXPECT_TRUE(is_service(canonical)) << both << " -> " << canonical;
+    }
+  }
+
+  // Empty name, org, or both; and text with no needle at all.
+  ExpectPrivacyMatchesNaive("", "");
+  ExpectPrivacyMatchesNaive("John Smith", "");
+  ExpectPrivacyMatchesNaive("", "Acme LLC");
+  ExpectPrivacyMatchesNaive(std::string("Pri\0vacy", 8), "");
+  EXPECT_FALSE(DetectPrivacyService("", "", nullptr));
 }
 
 TEST(RowFromParseTest, NormalizesFields) {
