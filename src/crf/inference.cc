@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <limits>
+#include <numbers>
 #include <stdexcept>
+#include <utility>
 
 #include "crf/workspace.h"
 
@@ -134,11 +136,10 @@ const Posteriors& ForwardBackward(const CrfModel::Scores& s, Workspace& ws,
   return p;
 }
 
-double SequenceLogProb(const CrfModel::Scores& s,
-                       const std::vector<int>& labels) {
-  if (static_cast<int>(labels.size()) != s.T) {
-    throw std::invalid_argument("SequenceLogProb: label length mismatch");
-  }
+namespace {
+
+// Unnormalized log-score of one label path (the eq. 13 sum).
+double PathScore(const CrfModel::Scores& s, std::span<const int> labels) {
   double score = 0.0;
   for (int t = 0; t < s.T; ++t) {
     score += s.unary[static_cast<size_t>(t) * s.L + labels[static_cast<size_t>(t)]];
@@ -147,7 +148,96 @@ double SequenceLogProb(const CrfModel::Scores& s,
                             labels[static_cast<size_t>(t)]];
     }
   }
-  return score - LogPartition(s);
+  return score;
+}
+
+// The running sum of PathLogProb is kept inside [2^-512, 2^512], far from
+// both ends of double's range, so one step's factors cannot leave it.
+constexpr double kRescaleHigh = 0x1p512;
+constexpr double kRescaleLow = 0x1p-512;
+
+}  // namespace
+
+double PathLogProb(const CrfModel::Scores& s, std::span<const int> y,
+                   Workspace& ws) {
+  if (s.T <= 0) throw std::invalid_argument("PathLogProb: empty");
+  if (y.size() != static_cast<size_t>(s.T)) {
+    throw std::invalid_argument("PathLogProb: label length mismatch");
+  }
+  const int T = s.T;
+  const int L = s.L;
+  const size_t LL = static_cast<size_t>(L) * L;
+  // cur[j]: sum over prefixes y'_0..t that end in label j and differ from
+  // y_0..t, of exp(s(y'_0..t) - s(y_0..t)), times 2^-scale. The "still on
+  // y" state is y's own prefix, whose relative weight is exactly 1.
+  ws.path_eps.resize(2 * static_cast<size_t>(L));
+  double* cur = ws.path_eps.data();
+  double* next = cur + L;
+  const bool own_exp = s.exp_pair_rows.empty();
+  if (own_exp) ws.exp_pair.resize(LL);
+
+  const double u0 = s.unary[static_cast<size_t>(y[0])];
+  for (int j = 0; j < L; ++j) {
+    cur[j] = j == y[0] ? 0.0 : std::exp(s.unary[static_cast<size_t>(j)] - u0);
+  }
+  int scale = 0;          // eps = sum(cur) * 2^scale
+  double on_path = 1.0;   // y's prefix weight in the scaled frame, 2^-scale
+  for (int t = 1; t < T; ++t) {
+    const double* E;
+    if (own_exp) {
+      const double* row = s.PairRow(t);
+      for (size_t ij = 0; ij < LL; ++ij) ws.exp_pair[ij] = std::exp(row[ij]);
+      E = ws.exp_pair.data();
+    } else {
+      E = s.exp_pair_rows[static_cast<size_t>(t)];
+    }
+    const int yp = y[static_cast<size_t>(t - 1)];
+    const int yt = y[static_cast<size_t>(t)];
+    const double* u = &s.unary[static_cast<size_t>(t) * L];
+    const double* leave = &E[static_cast<size_t>(yp) * L];  // y_{t-1} -> j
+    // Extending y's prefix multiplies its weight by leave[yt] * exp(u[yt]);
+    // dividing every step by that keeps the frame relative to y.
+    const double inv = 1.0 / leave[yt];
+    double sum = 0.0;
+    for (int j = 0; j < L; ++j) {
+      double acc = 0.0;
+      for (int i = 0; i < L; ++i) acc += cur[i] * E[i * L + j];
+      if (j != yt) acc += on_path * leave[j];  // the step that leaves y
+      next[j] = acc * (j == yt ? inv : std::exp(u[j] - u[yt]) * inv);
+      sum += next[j];
+    }
+    std::swap(cur, next);
+    if (sum > kRescaleHigh || (sum < kRescaleLow && sum > 0.0)) {
+      const int e = std::ilogb(sum);
+      for (int j = 0; j < L; ++j) cur[j] = std::ldexp(cur[j], -e);
+      scale += e;
+      on_path = std::ldexp(1.0, -scale);
+    }
+  }
+
+  double eps = 0.0;
+  for (int j = 0; j < L; ++j) eps += cur[j];
+  double log1p_eps;
+  if (scale == 0) {
+    log1p_eps = std::log1p(eps);
+  } else {
+    const double unscaled = std::ldexp(eps, scale);
+    // Past double's range eps >> 1, so log1p(eps) is log(eps) to the bit.
+    log1p_eps = std::isfinite(unscaled)
+                    ? std::log1p(unscaled)
+                    : std::log(eps) + scale * std::numbers::ln2;
+  }
+  // 0.0 - x rather than -x: eps == 0 (every alternative underflowed)
+  // yields +0, as `score - log Z` would.
+  const double log_prob = 0.0 - log1p_eps;
+  if (std::isfinite(log_prob)) return log_prob;
+  return PathScore(s, y) - LogPartition(s, ws);
+}
+
+double SequenceLogProb(const CrfModel::Scores& s,
+                       const std::vector<int>& labels) {
+  Workspace ws;
+  return PathLogProb(s, labels, ws);
 }
 
 double LogPartitionBruteForce(const CrfModel::Scores& s) {

@@ -1,12 +1,16 @@
 // Probabilistic inference for linear-chain CRFs (paper appendix A).
 //
-// All recursions run in the log domain: the paper's matrices M_t (eq. 9)
-// are represented by their logarithms (the Scores struct), and products of
-// M_t become log-sum-exp recursions. This is numerically exact for any
-// sequence length, unlike the literal matrix-product form of eq. 10 which
-// overflows for long records.
+// The partition function and marginals run in the log domain: the paper's
+// matrices M_t (eq. 9) are represented by their logarithms (the Scores
+// struct), and products of M_t become log-sum-exp recursions. This is
+// numerically exact for any sequence length, unlike the literal
+// matrix-product form of eq. 10 which overflows for long records. The
+// log-probability of one path (PathLogProb) instead runs a rescaled
+// exp-domain recursion relative to that path, which avoids both the
+// overflow and the cancellation of `score - log Z`.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "crf/model.h"
@@ -46,8 +50,26 @@ Posteriors ForwardBackward(const CrfModel::Scores& scores);
 const Posteriors& ForwardBackward(const CrfModel::Scores& scores,
                                   Workspace& ws, bool with_edges = true);
 
-// Log-probability of a specific label path under the scores:
-//   sum_t theta.f - log Z. `labels` must have length scores.T.
+// Log-probability of a specific label path y under the scores, computed
+// without the cancellation of `score(y) - log Z`:
+//   log Pr(y | x) = -log1p(eps),  eps = sum_{y' != y} exp(s(y') - s(y)).
+// eps comes from a forward pass in the exp domain that runs relative to y
+// with two states, "still on y" and "left y"; every term is positive, so
+// the result is exact to a few ulps of eps (~1e-14 relative) where
+// `score - log Z` loses ~11 of 16 digits. Pairwise blocks are read as
+// std::exp of PairRow(t), element by element: from `scores.exp_pair_rows`
+// when the caller supplies them, else exponentiated here, so both give the
+// same bits. The running sum is rescaled by powers of two when it leaves
+// [2^-512, 2^512]; if the result is still not finite (a potential beyond
+// exp's range, e.g. a weight below -745 on the path), it falls back to
+// `score - LogPartition`. Scratch comes from `ws` (path_eps, exp_pair).
+// Every inference path that reports a sequence log-probability calls this,
+// so they all agree bit for bit. Requires scores.T >= 1 and
+// labels.size() == scores.T.
+double PathLogProb(const CrfModel::Scores& scores, std::span<const int> labels,
+                   Workspace& ws);
+
+// PathLogProb with a scratch workspace of its own.
 double SequenceLogProb(const CrfModel::Scores& scores,
                        const std::vector<int>& labels);
 

@@ -243,6 +243,7 @@ void CrfModel::PairwiseScores(const CompiledItem& item, double* out) const {
 void CrfModel::FillPairwise(const CompiledSequence& seq, Scores& s) const {
   const size_t L = static_cast<size_t>(s.L);
   s.pair_rows.clear();  // dense layout: PairRow(t) indexes `pairwise`
+  s.exp_pair_rows.clear();
   s.pairwise.assign(static_cast<size_t>(s.T) * L * L, 0.0);
   for (size_t t = 1; t < seq.size(); ++t) {
     PairwiseScores(seq[t], &s.pairwise[t * L * L]);

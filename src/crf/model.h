@@ -118,6 +118,12 @@ class CrfModel {
     // PairRow are bit-identical either way. ComputeScores clears it (dense
     // layout); the WHOIS fast path fills it.
     std::vector<const double*> pair_rows;
+    // Optional exp-domain twin of the rows: when non-empty,
+    // exp_pair_rows[t] points at std::exp of PairRow(t), element by
+    // element, for PathLogProb to read instead of exponentiating the
+    // block itself. ComputeScores clears it; the WHOIS fast path fills it
+    // from its transition-block memo.
+    std::vector<const double*> exp_pair_rows;
 
     // The L*L pairwise block for position t >= 1. All inference and
     // decoding reads go through this accessor.

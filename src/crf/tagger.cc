@@ -47,8 +47,9 @@ TagResult Tagger::TagWithConfidence(
   if (lines.empty()) return result;
   const CompiledSequence seq = model_.Compile(lines);
   const CrfModel::Scores scores = model_.ComputeScores(seq);
-  const ViterbiResult vit = Decode(scores);
-  const Posteriors post = ForwardBackward(scores);
+  Workspace ws;
+  const ViterbiResult& vit = Decode(scores, ws);
+  const Posteriors& post = ForwardBackward(scores, ws);
 
   result.labels = vit.labels;
   result.confidences.reserve(vit.labels.size());
@@ -57,7 +58,7 @@ TagResult Tagger::TagWithConfidence(
         post.node[t * static_cast<size_t>(scores.L) +
                   static_cast<size_t>(vit.labels[t])]);
   }
-  result.sequence_log_prob = vit.score - post.log_z;
+  result.sequence_log_prob = PathLogProb(scores, result.labels, ws);
   return result;
 }
 
@@ -80,10 +81,9 @@ const TagResult& Tagger::TagCompiledViterbi(Workspace& ws) const {
   model_.ComputeScores(ws.seq, ws.scores);
   const ViterbiResult& vit = Decode(ws.scores, ws);
   result.labels.assign(vit.labels.begin(), vit.labels.end());
-  // The Viterbi path's normalized log-probability needs only log Z, i.e.
-  // the forward recursion — the backward pass and the T*L*L marginal
-  // exponentiations of full forward-backward are skipped entirely.
-  result.sequence_log_prob = vit.score - LogPartition(ws.scores, ws);
+  // No backward pass and no marginals: the path's log-probability is one
+  // exp-domain forward pass relative to the path.
+  result.sequence_log_prob = PathLogProb(ws.scores, result.labels, ws);
   return result;
 }
 
@@ -103,7 +103,7 @@ const TagResult& Tagger::TagCompiled(Workspace& ws) const {
         post.node[t * static_cast<size_t>(ws.scores.L) +
                   static_cast<size_t>(vit.labels[t])]);
   }
-  result.sequence_log_prob = vit.score - post.log_z;
+  result.sequence_log_prob = PathLogProb(ws.scores, result.labels, ws);
   return result;
 }
 

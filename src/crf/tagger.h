@@ -24,7 +24,7 @@ class Tagger {
   std::vector<int> Tag(const std::vector<text::LineAttributes>& lines) const;
 
   // Viterbi path plus marginal confidence of each chosen label and the
-  // normalized log-probability of the whole path.
+  // normalized log-probability of the whole path (PathLogProb).
   TagResult TagWithConfidence(
       const std::vector<text::LineAttributes>& lines) const;
 
@@ -44,10 +44,10 @@ class Tagger {
   // Viterbi labels only (what Tag returns). Returns `ws.viterbi.labels`.
   const std::vector<int>& TagCompiledLabels(Workspace& ws) const;
 
-  // Viterbi labels plus the normalized log-probability of the path, via a
-  // forward-only log-partition — no backward pass, no marginals.
-  // `labels` and `sequence_log_prob` are bit-identical to
-  // TagWithConfidence's; `confidences` is left empty. Returns `ws.tag`.
+  // Viterbi labels plus the normalized log-probability of the path
+  // (PathLogProb) — no backward pass, no marginals. `labels` and
+  // `sequence_log_prob` are bit-identical to TagWithConfidence's;
+  // `confidences` is left empty. Returns `ws.tag`.
   const TagResult& TagCompiledViterbi(Workspace& ws) const;
 
   // Full TagWithConfidence equivalent (labels, per-line marginal

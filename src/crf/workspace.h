@@ -39,6 +39,11 @@ struct Workspace {
   std::vector<double> lse;    // L-wide log-sum-exp scratch
   Posteriors post;
 
+  // PathLogProb state: the two L-wide rows of its exp-domain recursion,
+  // and one L*L block for exponentiating dense pairwise rows.
+  std::vector<double> path_eps;
+  std::vector<double> exp_pair;
+
   // Viterbi state (viterbi.h workspace overload).
   std::vector<double> viterbi_score;  // T*L best-path scores
   std::vector<int> viterbi_back;      // T*L backpointers

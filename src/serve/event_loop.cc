@@ -246,7 +246,15 @@ void FrameConn::ConsumeFrames() {
   corked_ = true;
   DispatchFrames();
   corked_ = false;
-  if (!closed_ && buffered_write_bytes() > 0 && !want_write_) FlushWrites();
+  if (closed_ || buffered_write_bytes() == 0) return;
+  if (!want_write_) {
+    FlushWrites();
+  } else {
+    // Already waiting for EPOLLOUT, so nothing was written: the batch's
+    // inline completions only grew the queue, and the bound must be
+    // checked here or reading goes on without limit.
+    CheckBackpressure();
+  }
 }
 
 void FrameConn::DispatchFrames() {

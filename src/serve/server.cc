@@ -334,6 +334,10 @@ void ParseServer::AcceptReady() {
       return;  // EAGAIN (drained) or listener gone
     }
     SetTcpNoDelay(fd);
+    if (options_.send_buffer_bytes > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.send_buffer_bytes,
+                   sizeof(options_.send_buffer_bytes));
+    }
     connections_total_->Inc();
     active_connections_->Add(1.0);
     LoopCtx* ctx = loops_[next_loop_++ % loops_.size()].get();

@@ -200,6 +200,11 @@ struct ParseServerOptions {
   // bytes exceed this stops being read until the peer drains to half the
   // bound; 0 = unbounded.
   size_t write_queue_max_bytes = 4u << 20;
+  // SO_SNDBUF for accepted sockets, in bytes; 0 = the kernel default,
+  // which autotunes up to tcp_wmem's max (often 4 MiB). A small pinned
+  // buffer makes a slow reader back responses up into the write queue
+  // after a known number of bytes.
+  int send_buffer_bytes = 0;
   // listen(2) backlog.
   int listen_backlog = 1024;
   // Shutdown grace for flushing responses to slow readers before their

@@ -35,6 +35,24 @@ void ForEachWord(std::string_view s, Fn&& fn) {
   }
 }
 
+// Emits the normalized word in `scratch.word` + `suffix`, then the raw
+// word's class attributes; returns the number of attributes emitted.
+size_t EmitWord(std::string_view raw_word, std::string_view suffix,
+                bool transition, bool word_classes, AttrSink& sink,
+                TokenScratch& scratch) {
+  scratch.attr.assign(scratch.word);
+  scratch.attr.append(suffix);
+  sink.OnAttr(scratch.attr, transition);
+  if (!word_classes) return 1;
+  ClassifyWord(raw_word, scratch.classes);
+  for (WordClass cls : scratch.classes) {
+    scratch.attr.assign(WordClassName(cls));
+    scratch.attr.append(suffix);
+    sink.OnAttr(scratch.attr, false);
+  }
+  return 1 + scratch.classes.size();
+}
+
 // Sink that reconstructs the classic LineAttributes contract: first
 // occurrence of each attribute wins, order-stable. Attribute lists are a
 // couple dozen entries at most, so a linear scan beats a hash set.
@@ -176,6 +194,20 @@ LineAttributes Tokenizer::ExtractClassic(const Line& line) const {
 
 void Tokenizer::ExtractTo(const Line& line, AttrSink& sink,
                           TokenScratch& scratch) const {
+  const auto split = FindSeparator(line.text);
+  const size_t emitted = ExtractPrefixTo(line, split, sink, scratch);
+  ExtractValueTo(ValuePart(line, split), emitted, sink, scratch);
+}
+
+std::string_view Tokenizer::ValuePart(
+    const Line& line, const std::optional<SeparatorSplit>& split) {
+  return split.has_value() ? split->value : util::Trim(line.text);
+}
+
+size_t Tokenizer::ExtractPrefixTo(const Line& line,
+                                  const std::optional<SeparatorSplit>& split,
+                                  AttrSink& sink,
+                                  TokenScratch& scratch) const {
   size_t emitted = 0;
   auto emit = [&](std::string_view attr, bool transition) {
     sink.OnAttr(attr, transition);
@@ -189,45 +221,21 @@ void Tokenizer::ExtractTo(const Line& line, AttrSink& sink,
     if (line.starts_with_symbol) emit("SYM", true);
     if (line.has_tab) emit("TABCH", false);
   }
+  if (!split.has_value()) return emitted;
 
-  const auto split = FindSeparator(line.text);
-  std::string_view title_part;
-  std::string_view value_part;
-  if (split.has_value()) {
-    title_part = split->title;
-    value_part = split->value;
-    if (options_.separator_markers) {
-      emit("SEP", true);
-      scratch.attr.assign("SEP_");
-      scratch.attr.append(SeparatorName(split->kind));
-      emit(scratch.attr, false);
-      if (split->value.empty()) {
-        // "Registrant:" alone on a line — block-header form (§4.2).
-        emit("SEP_EMPTYVAL", true);
-      }
+  if (options_.separator_markers) {
+    emit("SEP", true);
+    scratch.attr.assign("SEP_");
+    scratch.attr.append(SeparatorName(split->kind));
+    emit(scratch.attr, false);
+    if (split->value.empty()) {
+      // "Registrant:" alone on a line — block-header form (§4.2).
+      emit("SEP_EMPTYVAL", true);
     }
-  } else {
-    value_part = util::Trim(line.text);
   }
 
-  // Emits `word + suffix` plus the raw word's class attributes.
-  auto emit_word = [&](std::string_view raw_word, std::string_view suffix,
-                       bool transition) {
-    scratch.attr.assign(scratch.word);
-    scratch.attr.append(suffix);
-    emit(scratch.attr, transition);
-    if (options_.word_classes) {
-      ClassifyWord(raw_word, scratch.classes);
-      for (WordClass cls : scratch.classes) {
-        scratch.attr.assign(WordClassName(cls));
-        scratch.attr.append(suffix);
-        emit(scratch.attr, false);
-      }
-    }
-  };
-
   bool first_title_word = true;
-  ForEachWord(title_part, [&](std::string_view raw_word) {
+  ForEachWord(split->title, [&](std::string_view raw_word) {
     // The first title word is the strongest block-boundary signal (Figure 1
     // edges are dominated by first-title words), so it alone is
     // transition-eligible among words. A claimed count of 0 means the word
@@ -239,12 +247,17 @@ void Tokenizer::ExtractTo(const Line& line, AttrSink& sink,
       return;
     }
     if (NormalizeWordInto(raw_word, scratch.word)) {
-      emit_word(raw_word, "@T", first_title_word);
+      emitted += EmitWord(raw_word, "@T", first_title_word,
+                          options_.word_classes, sink, scratch);
       first_title_word = false;
     }
     sink.EndWord();
   });
+  return emitted;
+}
 
+void Tokenizer::ExtractValueTo(std::string_view value_part, size_t emitted,
+                               AttrSink& sink, TokenScratch& scratch) const {
   ForEachWord(value_part, [&](std::string_view raw_word) {
     const int claimed = sink.OnWord(raw_word, /*title=*/false, false);
     if (claimed >= 0) {
@@ -252,14 +265,15 @@ void Tokenizer::ExtractTo(const Line& line, AttrSink& sink,
       return;
     }
     if (NormalizeWordInto(raw_word, scratch.word)) {
-      emit_word(raw_word, "@V", false);
+      emitted += EmitWord(raw_word, "@V", false, options_.word_classes, sink,
+                          scratch);
     }
     sink.EndWord();
   });
 
   // A line with no attributes at all (pathological input) still needs one
   // observation for the CRF to score; emit a bias marker.
-  if (emitted == 0) emit("EMPTYLINE", false);
+  if (emitted == 0) sink.OnAttr("EMPTYLINE", false);
 }
 
 std::vector<LineAttributes> Tokenizer::ExtractRecord(

@@ -16,11 +16,13 @@
 // (Figure 1).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "text/line_splitter.h"
+#include "text/separator.h"
 #include "text/word_classes.h"
 
 namespace whoiscrf::text {
@@ -102,7 +104,28 @@ class Tokenizer {
   // Extract's order, using `scratch` for all string building. Emits raw
   // (non-deduplicated) attributes; see AttrSink. Guarantees at least one
   // emission per line ("EMPTYLINE" when nothing else matched).
+  // Equivalent to ExtractPrefixTo followed by ExtractValueTo over the
+  // line's FindSeparator split.
   void ExtractTo(const Line& line, AttrSink& sink, TokenScratch& scratch) const;
+
+  // The two halves of ExtractTo, for callers that scan the separator once
+  // and share it (`split` must be FindSeparator(line.text)), or memoize
+  // the prefix. The prefix is everything that precedes the value: layout
+  // markers, separator attributes and title words (`*@T`). It returns the
+  // number of attributes it emitted, counting words a sink claimed via
+  // OnWord. The value part emits the value words (`*@V`) of `value_part`
+  // (ValuePart(line, split)), then "EMPTYLINE" if `emitted` plus its own
+  // emissions is zero. Prefix and value attributes never coincide.
+  size_t ExtractPrefixTo(const Line& line,
+                         const std::optional<SeparatorSplit>& split,
+                         AttrSink& sink, TokenScratch& scratch) const;
+  void ExtractValueTo(std::string_view value_part, size_t emitted,
+                      AttrSink& sink, TokenScratch& scratch) const;
+
+  // The text ExtractValueTo tokenizes: the split's value, or the whole
+  // trimmed line when it has no separator.
+  static std::string_view ValuePart(const Line& line,
+                                    const std::optional<SeparatorSplit>& split);
 
   // Convenience: full record -> per-line attributes.
   std::vector<LineAttributes> ExtractRecord(std::string_view record) const;

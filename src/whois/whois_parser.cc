@@ -1,6 +1,7 @@
 #include "whois/whois_parser.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -105,17 +106,23 @@ uint64_t NextParserId() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-// Cache key: the layout flags + text a Line contributes to feature
-// extraction (Tokenizer::ExtractTo reads nothing else), so equal keys
-// guarantee identical attribute streams.
-void LineCacheKey(const text::Line& line, std::string& key) {
+// Layout flags of a line as one byte (the Line fields besides its text
+// that feature extraction reads).
+char LayoutFlags(const text::Line& line) {
   char flags = 0;
   if (line.preceded_by_blank) flags |= 1;
   if (line.shift_left) flags |= 2;
   if (line.shift_right) flags |= 4;
   if (line.starts_with_symbol) flags |= 8;
   if (line.has_tab) flags |= 16;
-  key.assign(1, flags);
+  return flags;
+}
+
+// Cache key: the layout flags + text a Line contributes to feature
+// extraction (Tokenizer::ExtractTo reads nothing else), so equal keys
+// guarantee identical attribute streams.
+void LineCacheKey(const text::Line& line, std::string& key) {
+  key.assign(1, LayoutFlags(line));
   key.append(line.text);
 }
 
@@ -131,6 +138,117 @@ constexpr size_t kLineCacheSlots = 1 << 13;
 // eviction, and replay copies everything out during the probe, so no
 // pinning is needed.
 constexpr size_t kWordCacheSlots = 1 << 13;
+
+// Title memo: slot count (power of two), probe window and the longest raw
+// title it keys. A census has ~400 distinct title prefixes; longer titles
+// are rare and simply tokenized in full.
+constexpr size_t kTitleMemoSlots = 1 << 10;
+constexpr size_t kTitleMemoProbe = 4;
+constexpr size_t kTitleMemoMaxTitle = 64;
+
+// Transition-block memo slot counts (powers of two) per level, against
+// ~93 and ~28 distinct slot lists in a census.
+constexpr size_t kPairMemoSlots1 = 1 << 8;
+constexpr size_t kPairMemoSlots2 = 1 << 6;
+
+// Title memo key: everything the tokenizer's prefix part reads — layout
+// flags, separator kind, whether the value is empty (SEP_EMPTYVAL), and
+// the raw title bytes.
+void TitleMemoKey(const text::Line& line, const text::SeparatorSplit& split,
+                  std::string& key) {
+  key.assign(1, LayoutFlags(line));
+  key.push_back(static_cast<char>((static_cast<int>(split.kind) << 1) |
+                                  (split.value.empty() ? 1 : 0)));
+  key.append(split.title);
+}
+
+// Finds `key` in the window of the title memo, or nullptr.
+TitleMemoSlot* FindTitle(std::vector<TitleMemoSlot>& titles, uint64_t hash,
+                         const std::string& key) {
+  for (size_t w = 0; w < kTitleMemoProbe; ++w) {
+    TitleMemoSlot& slot = titles[(hash + w) & (kTitleMemoSlots - 1)];
+    if (slot.hash == hash && slot.key == key) return &slot;
+  }
+  return nullptr;
+}
+
+// The slot a new title key takes: a vacant one in its window, else the
+// window entries in turn.
+TitleMemoSlot& TitleVictim(std::vector<TitleMemoSlot>& titles, uint64_t hash,
+                           size_t& next_victim) {
+  for (size_t w = 0; w < kTitleMemoProbe; ++w) {
+    TitleMemoSlot& slot = titles[(hash + w) & (kTitleMemoSlots - 1)];
+    if (slot.key.empty()) return slot;
+  }
+  return titles[(hash + next_victim++ % kTitleMemoProbe) &
+                (kTitleMemoSlots - 1)];
+}
+
+// Sizes `memo` for blocks of `block_size` doubles and empties it. The
+// overflow pool goes too: its blocks may have another parser's size.
+void ResetPairMemo(PairBlockMemo& memo, size_t slots, size_t block_size) {
+  memo.entries.assign(slots, PairBlockMemo::Entry{});
+  memo.block_size = block_size;
+  memo.blocks.clear();
+  memo.blocks.reserve(slots * block_size);
+  memo.overflow.clear();
+  memo.overflow_used = 0;
+}
+
+// The memoized block for `slots` (non-empty). On a miss, `fill(out)`
+// writes it into an evictable entry's storage, or into the overflow pool
+// when none is free. The block stays valid until the next record starts.
+template <typename Fill>
+const double* PairBlock(PairBlockMemo& memo, const std::vector<int>& slots,
+                        uint64_t record_seq, Fill&& fill) {
+  const size_t mask = memo.entries.size() - 1;
+  const uint32_t len = static_cast<uint32_t>(slots.size());
+  PairBlockMemo::Entry* victim = nullptr;
+  if (len <= PairBlockMemo::kMaxKey) {
+    const uint64_t hash = util::KeyHash(std::string_view(
+        reinterpret_cast<const char*>(slots.data()), len * sizeof(int)));
+    for (size_t w = 0; w < PairBlockMemo::kProbe; ++w) {
+      PairBlockMemo::Entry& e = memo.entries[(hash + w) & mask];
+      if (e.hash == hash && e.len == len &&
+          std::equal(slots.begin(), slots.end(), e.key)) {
+        e.record_seq = record_seq;
+        return &memo.blocks[e.block * memo.block_size];
+      }
+    }
+    for (size_t w = 0; w < PairBlockMemo::kProbe && victim == nullptr; ++w) {
+      PairBlockMemo::Entry& e = memo.entries[(hash + w) & mask];
+      if (e.len == 0) victim = &e;
+    }
+    for (size_t w = 0; w < PairBlockMemo::kProbe && victim == nullptr; ++w) {
+      PairBlockMemo::Entry& e =
+          memo.entries[(hash + memo.next_victim++ % PairBlockMemo::kProbe) &
+                       mask];
+      if (e.record_seq != record_seq) victim = &e;
+    }
+    if (victim != nullptr) {
+      if (victim->len == 0) {  // first use of this entry: append its block
+        victim->block = static_cast<uint32_t>(memo.blocks.size() /
+                                              memo.block_size);
+        memo.blocks.resize(memo.blocks.size() + memo.block_size);
+      }
+      victim->hash = hash;
+      victim->record_seq = record_seq;
+      victim->len = len;
+      std::copy(slots.begin(), slots.end(), victim->key);
+    }
+  }
+  double* out;
+  if (victim != nullptr) {
+    out = &memo.blocks[victim->block * memo.block_size];
+  } else {
+    if (memo.overflow_used == memo.overflow.size()) {
+      memo.overflow.emplace_back(memo.block_size);
+    }
+    out = memo.overflow[memo.overflow_used++].data();
+  }
+  fill(out);
+  return out;
+}
 
 using util::KeyHash;
 
@@ -213,6 +331,33 @@ class DualInternSink final : public text::AttrSink {
     rec_mapped_ = 0;
     rec_emit_ = 0;
     return -1;
+  }
+
+  // Title memo: copies out, or reinstates, everything the tokenizer's
+  // prefix part left in this line's items and unary accumulators.
+  void SavePrefix(TitleMemoSlot& slot, size_t emitted) const {
+    const std::vector<int>* parts[4] = {&item1_->attrs, &item1_->trans_slots,
+                                        &item2_->attrs, &item2_->trans_slots};
+    slot.ids.clear();
+    for (size_t k = 0; k < 4; ++k) {
+      slot.ids.insert(slot.ids.end(), parts[k]->begin(), parts[k]->end());
+      slot.counts[k] = static_cast<uint16_t>(parts[k]->size());
+    }
+    slot.unary.assign(unary1_, unary1_ + L1_);
+    slot.unary.insert(slot.unary.end(), unary2_, unary2_ + L2_);
+    slot.emitted = static_cast<uint32_t>(emitted);
+  }
+
+  void RestorePrefix(const TitleMemoSlot& slot) {
+    std::vector<int>* parts[4] = {&item1_->attrs, &item1_->trans_slots,
+                                  &item2_->attrs, &item2_->trans_slots};
+    const int32_t* id = slot.ids.data();
+    for (size_t k = 0; k < 4; ++k) {
+      parts[k]->assign(id, id + slot.counts[k]);
+      id += slot.counts[k];
+    }
+    std::copy_n(slot.unary.data(), L1_, unary1_);
+    std::copy_n(slot.unary.data() + L1_, L2_, unary2_);
   }
 
   void EndWord() override {
@@ -421,15 +566,11 @@ LineRoutePlan ComputeRoutePlan(const std::string& title,
   return plan;
 }
 
-// ComputeRoutePlan memoized per lowered title in `cache` (see
-// FieldRouteCache). Untitled lines route on the value (domain/URL shape),
-// so their plan is computed per line; they are the rare case in titled
-// formats.
-LineRoutePlan CachedRoutePlan(const std::string& title,
-                              const std::string& value,
-                              FieldRouteCache& cache) {
+// The plan of a non-empty lowered title before its value is seen,
+// memoized in `cache` (see FieldRouteCache).
+LineRoutePlan TitleRoutePlan(const std::string& title,
+                             FieldRouteCache& cache) {
   static const std::string kEmptyValue;
-  if (title.empty()) return ComputeRoutePlan(title, value);
   auto it = cache.by_title.find(title);
   if (it == cache.by_title.end()) {
     if (cache.by_title.size() >= FieldRouteCache::kMaxTitles) {
@@ -438,16 +579,29 @@ LineRoutePlan CachedRoutePlan(const std::string& title,
     it = cache.by_title.emplace(title, ComputeRoutePlan(title, kEmptyValue))
              .first;
   }
-  LineRoutePlan plan = it->second;
-  // The one value-dependence a titled line has: a URL-shaped value wins
-  // the registrar route unless a stronger keyword already did (mirrors
-  // ComputeRoutePlan's chain, which tests IsUrl before the registrar-name
-  // keywords).
+  return it->second;
+}
+
+// The one value-dependence a titled line has: a URL-shaped value wins the
+// registrar route unless a stronger keyword already did (mirrors
+// ComputeRoutePlan's chain, which tests IsUrl before the registrar-name
+// keywords).
+LineRoutePlan WithValue(LineRoutePlan plan, std::string_view value) {
   if (plan.registrar != kRegWhoisServer && plan.registrar != kRegUrl &&
       text::IsUrl(value)) {
     plan.registrar = kRegUrl;
   }
   return plan;
+}
+
+// ComputeRoutePlan memoized per lowered title. Untitled lines route on the
+// value (domain/URL shape), so their plan is computed per line; they are
+// the rare case in titled formats.
+LineRoutePlan CachedRoutePlan(const std::string& title,
+                              const std::string& value,
+                              FieldRouteCache& cache) {
+  if (title.empty()) return ComputeRoutePlan(title, value);
+  return WithValue(TitleRoutePlan(title, cache), value);
 }
 
 // Routes one line's value into the ParsedWhois given its level-1 label and
@@ -635,6 +789,10 @@ WhoisParser::WhoisParser(std::unique_ptr<crf::CrfModel> level1,
     }
   }
 
+  const double* trans1 = &level1_->weights()[level1_->TransitionIndex(0, 0)];
+  base_exp1_.resize(L1 * L1);
+  for (size_t ij = 0; ij < L1 * L1; ++ij) base_exp1_[ij] = std::exp(trans1[ij]);
+
   obs::Registry& registry = obs::Registry::Global();
   metrics_.records = registry.GetCounter("whoiscrf_parse_records_total",
                                          "Records parsed on the fast path");
@@ -743,48 +901,54 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
     return out;
   }
 
-  // The line cache memoizes per-line work for THIS parser's models; a
+  // The caches and memos hold per-line work for THIS parser's models; a
   // workspace handed over from a different parser starts cold.
+  const size_t L1 = static_cast<size_t>(level1_->num_labels());
+  const size_t L2 = static_cast<size_t>(level2_->num_labels());
   if (ws.cache_owner != instance_id_) {
     metrics_.workspace_cold->Inc();
     for (LineSlot& slot : ws.slots) slot.key.clear();  // vacate, keep buffers
     for (WordSlot& slot : ws.word_slots) slot.len = 0;
+    for (TitleMemoSlot& slot : ws.titles) slot.key.clear();
+    ResetPairMemo(ws.pairs1, kPairMemoSlots1, 2 * L1 * L1);
+    ResetPairMemo(ws.pairs2, kPairMemoSlots2, L2 * L2);
     ws.cache_owner = instance_id_;
   }
   if (ws.slots.empty()) ws.slots.resize(kLineCacheSlots);
   if (ws.word_slots.empty()) ws.word_slots.resize(kWordCacheSlots);
+  if (ws.titles.empty()) ws.titles.resize(kTitleMemoSlots);
   const uint64_t record_seq = ++ws.record_seq;
   ws.overflow_used = 0;
+  ws.pairs1.overflow_used = 0;
+  ws.pairs2.overflow_used = 0;
 
   const size_t T = ws.lines.size();
-  const size_t L1 = static_cast<size_t>(level1_->num_labels());
-  const size_t L2 = static_cast<size_t>(level2_->num_labels());
   DualInternSink sink(attr_slots_, attr_names_, ws.word_slots, ws.doorkeeper,
                       packed_unary_.data(), L1, L2);
 
   // Level 1 compile + scoring: a cache hit replaces tokenization, word
-  // classification, vocabulary interning, and unary/pairwise scoring with
-  // one hash probe and a few row copies. Misses compile the line against
-  // BOTH levels in a single tokenization pass (so level 2 below never
-  // re-tokenizes) and score it once, into the entry.
+  // classification, vocabulary interning, and unary scoring with one hash
+  // probe and a row copy. Misses compile the line against BOTH levels in a
+  // single tokenization pass (so level 2 below never re-tokenizes) and
+  // score it once, into the entry.
   crf::CrfModel::Scores& sc = ws.crf.scores;
   ws.line_entries.assign(T, nullptr);
   sc.T = static_cast<int>(T);
   sc.L = level1_->num_labels();
   sc.unary.resize(T * L1);
-  // Pairwise blocks go through the Scores row-pointer table: lines with no
-  // observed-transition attributes (the common case) share the model's base
-  // transition block directly — PairwiseScores would produce an exact copy
-  // of it — and only lines with transition slots compute a row into the
-  // `pairwise` arena. Same bits read either way, ~L*L doubles less work
-  // per shared line.
-  sc.pairwise.resize(T * L1 * L1);
-  sc.pair_rows.assign(T, nullptr);  // row t=0 is never read
+  // Pairwise blocks go through the Scores row-pointer tables: lines
+  // without observed-transition slots share the model's base transition
+  // block (and its exp, computed once per parser); the rest — 18.65 of 24
+  // level-1 transitions per census record — read their block from the
+  // slot-list memo. Same bits as ComputeScores either way.
+  sc.pair_rows.assign(T, nullptr);      // row t=0 is never read
+  sc.exp_pair_rows.assign(T, nullptr);
   const double* trans1 = &level1_->weights()[level1_->TransitionIndex(0, 0)];
-  size_t custom_rows = 0;
+  const size_t LL1 = L1 * L1;
   size_t cache_hits = 0;  // flushed to the registry once per record
   for (size_t t = 0; t < T; ++t) {
-    LineCacheKey(ws.lines[t], ws.key);
+    const text::Line& line = ws.lines[t];
+    LineCacheKey(line, ws.key);
     const uint64_t hash = KeyHash(ws.key);
     LineSlot& slot = ws.slots[hash & (kLineCacheSlots - 1)];
     const LineCacheEntry* entry;
@@ -812,37 +976,83 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
       e->unary1.resize(L1);
       e->unary2.resize(L2);
       sink.BeginLine(e->level1, e->level2, e->unary1.data(), e->unary2.data());
-      tokenizer_.ExtractTo(ws.lines[t], sink, ws.crf.token_scratch);
+      // One separator scan serves the tokenizer and the title/value split.
+      const auto split = text::FindSeparator(line.text);
+      const std::string_view value = text::Tokenizer::ValuePart(line, split);
       FieldRouteCache& routes = ws.field_routes;
-      SplitTitleValueInto(ws.lines[t], routes.title, e->value);
-      e->plan = CachedRoutePlan(routes.title, e->value, routes);
+      if (split.has_value() && !split->title.empty() &&
+          split->title.size() <= kTitleMemoMaxTitle) {
+        // Titled line: the prefix's sink state and the title's route plan
+        // come from the title memo when its key has been recorded.
+        TitleMemoKey(line, *split, ws.title_key);
+        const uint64_t title_hash = KeyHash(ws.title_key);
+        const TitleMemoSlot* memo =
+            FindTitle(ws.titles, title_hash, ws.title_key);
+        size_t emitted;
+        LineRoutePlan plan;
+        if (memo != nullptr) {
+          sink.RestorePrefix(*memo);
+          emitted = memo->emitted;
+          plan = memo->plan;
+        } else {
+          emitted = tokenizer_.ExtractPrefixTo(line, split, sink,
+                                               ws.crf.token_scratch);
+          routes.title.assign(split->title);
+          util::scan::AsciiLower(routes.title.data(), routes.title.size(),
+                                 routes.title.data());
+          plan = TitleRoutePlan(routes.title, routes);
+          if (ws.doorkeeper.SeenBefore(title_hash)) {
+            TitleMemoSlot& victim =
+                TitleVictim(ws.titles, title_hash, ws.next_title_victim);
+            victim.hash = title_hash;
+            victim.key.assign(ws.title_key);
+            sink.SavePrefix(victim, emitted);
+            victim.plan = plan;
+          }
+        }
+        tokenizer_.ExtractValueTo(value, emitted, sink, ws.crf.token_scratch);
+        e->value.assign(value);
+        e->plan = WithValue(plan, value);
+      } else {
+        const size_t emitted = tokenizer_.ExtractPrefixTo(
+            line, split, sink, ws.crf.token_scratch);
+        tokenizer_.ExtractValueTo(value, emitted, sink, ws.crf.token_scratch);
+        SplitTitleValueInto(line, split, routes.title, e->value);
+        e->plan = CachedRoutePlan(routes.title, e->value, routes);
+      }
       entry = e;
     }
     ws.line_entries[t] = entry;
     std::memcpy(&sc.unary[t * L1], entry->unary1.data(), L1 * sizeof(double));
     if (t > 0) {
-      if (entry->level1.trans_slots.empty()) {
+      const crf::CompiledItem& item = entry->level1;
+      if (item.trans_slots.empty()) {
         sc.pair_rows[t] = trans1;
+        sc.exp_pair_rows[t] = base_exp1_.data();
       } else {
-        // Recomputed from the (small, cache-hot) weight tables rather than
-        // memoized: fetching a stored L*L block from the cache entry is
-        // memory-bound and measurably slower.
-        double* row = &sc.pairwise[custom_rows++ * L1 * L1];
-        level1_->PairwiseScores(entry->level1, row);
-        sc.pair_rows[t] = row;
+        const double* block =
+            PairBlock(ws.pairs1, item.trans_slots, record_seq,
+                      [&](double* fresh) {
+                        level1_->PairwiseScores(item, fresh);
+                        for (size_t ij = 0; ij < LL1; ++ij) {
+                          fresh[LL1 + ij] = std::exp(fresh[ij]);
+                        }
+                      });
+        sc.pair_rows[t] = block;
+        sc.exp_pair_rows[t] = block + LL1;
       }
     }
   }
 
-  // Level 1 inference: Viterbi labels plus forward-only log Z (no backward
-  // pass, no marginals — Parse never reports per-line confidences). The
-  // assembled Scores are bit-identical to ComputeScores on the same lines
-  // (cached rows come from UnaryScores/PairwiseScores, which accumulate in
-  // ComputeScores' order), and Decode/LogPartition run the same operations
-  // in the same order as Tagger::TagWithConfidence's label and log-prob
-  // computation — so the outputs match ParseNaive exactly.
+  // Level 1 inference: Viterbi labels plus the path's log-probability (no
+  // backward pass, no marginals — Parse never reports per-line
+  // confidences). The assembled Scores are bit-identical to ComputeScores
+  // on the same lines (cached rows come from UnaryScores/PairwiseScores
+  // order sums, exp rows are std::exp of them), and Decode/PathLogProb run
+  // the same operations in the same order as Tagger::TagWithConfidence's —
+  // so the outputs match ParseNaive exactly.
   const crf::ViterbiResult& level1 = crf::Decode(ws.crf.scores, ws.crf);
-  out.log_prob = level1.score - crf::LogPartition(ws.crf.scores, ws.crf);
+  out.log_prob = crf::PathLogProb(ws.crf.scores, level1.labels, ws.crf);
   out.line_labels.reserve(level1.labels.size());
   for (int label : level1.labels) {
     out.line_labels.push_back(static_cast<Level1Label>(label));
@@ -852,6 +1062,7 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
   // contacts use the same subfield shapes, and the extracted contact
   // serves as a registrant proxy when the registrant block is missing,
   // §3.2) — straight from the cached level-2 items of the pass above.
+  const double* trans2 = &level2_->weights()[level2_->TransitionIndex(0, 0)];
   auto tag_block = [&](Level1Label which, std::vector<Level2Label>& subs) {
     ws.block.clear();
     for (size_t i = 0; i < T; ++i) {
@@ -863,23 +1074,21 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
     sc.T = static_cast<int>(B);
     sc.L = level2_->num_labels();
     sc.unary.resize(B * L2);
-    sc.pairwise.resize(B * L2 * L2);
     sc.pair_rows.assign(B, nullptr);  // row t=0 is never read
-    const double* trans2 =
-        &level2_->weights()[level2_->TransitionIndex(0, 0)];
-    size_t custom2 = 0;
+    sc.exp_pair_rows.clear();         // level 2 only decodes
     for (size_t b = 0; b < B; ++b) {
       const LineCacheEntry& entry = *ws.block[b];
       std::memcpy(&sc.unary[b * L2], entry.unary2.data(),
                   L2 * sizeof(double));
       if (b > 0) {
-        if (entry.level2.trans_slots.empty()) {
-          sc.pair_rows[b] = trans2;
-        } else {
-          double* row = &sc.pairwise[custom2++ * L2 * L2];
-          level2_->PairwiseScores(entry.level2, row);
-          sc.pair_rows[b] = row;
-        }
+        const crf::CompiledItem& item = entry.level2;
+        sc.pair_rows[b] =
+            item.trans_slots.empty()
+                ? trans2
+                : PairBlock(ws.pairs2, item.trans_slots, record_seq,
+                            [&](double* fresh) {
+                              level2_->PairwiseScores(item, fresh);
+                            });
       }
     }
     const crf::ViterbiResult& sub = crf::Decode(ws.crf.scores, ws.crf);

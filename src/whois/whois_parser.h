@@ -180,6 +180,57 @@ struct LineSlot {
   LineCacheEntry entry;
 };
 
+// One slot of the title memo: what the tokenizer's prefix part (layout
+// markers, separator attributes, title words) left in the interning sink
+// for one (layout flags, separator kind, empty value, raw title) key, plus
+// the title's route plan. A line-cache miss whose key hits restores this
+// state and tokenizes only the value; since Add sums unary rows in
+// emission order and prefix attributes never coincide with value ones,
+// the line compiles to the same bits either way.
+struct TitleMemoSlot {
+  uint64_t hash = 0;
+  std::string key;  // empty = vacant
+  // Level-1 attr ids, level-1 trans_slots, level-2 attr ids, level-2
+  // trans_slots, back to back; `counts` gives the four lengths.
+  std::vector<int32_t> ids;
+  uint16_t counts[4] = {0, 0, 0, 0};
+  std::vector<double> unary;  // L1 then L2 partial unary sums
+  uint32_t emitted = 0;       // prefix emissions, for the EMPTYLINE rule
+  LineRoutePlan plan;         // the title's plan before the URL override
+};
+
+// Memo of pairwise blocks keyed by a compiled item's ordered trans_slots
+// list. CrfModel::PairwiseScores is a pure function of that list, and a
+// census has few distinct lists (93 at level 1, 28 at level 2), so each
+// block is computed once instead of once per line. A level-1 block is
+// stored next to its element-wise std::exp for PathLogProb. Direct-mapped
+// with a short probe window; `record_seq` pins an entry against eviction
+// while the record that set Scores::pair_rows to it is being parsed.
+// Lists no entry can take (longer than kMaxKey, or every window entry
+// pinned by this record) are computed into `overflow`, reused across
+// records like the line cache's pool.
+struct PairBlockMemo {
+  static constexpr size_t kMaxKey = 8;
+  static constexpr size_t kProbe = 4;
+  struct Entry {
+    uint64_t hash = 0;
+    uint64_t record_seq = 0;
+    uint32_t len = 0;    // key length; 0 = vacant (empty lists never enter)
+    uint32_t block = 0;  // index of this entry's block in `blocks`
+    int32_t key[kMaxKey];
+  };
+  size_t block_size = 0;        // doubles per block
+  std::vector<Entry> entries;   // sized on first use
+  // One block per entry ever occupied, appended when an entry is first
+  // taken (an evicted entry keeps its block). Capacity for every entry is
+  // reserved up front, so growth never moves a block a record points at,
+  // and only the blocks in use are touched.
+  std::vector<double> blocks;
+  std::deque<std::vector<double>> overflow;
+  size_t overflow_used = 0;
+  size_t next_victim = 0;       // rotates evictions through the window
+};
+
 // Per-thread scratch for the parsing fast path: split lines, the line
 // cache, sub-label buffers, and all CRF inference state. After a few
 // records the buffers stop growing and Parse runs allocation-free on
@@ -231,6 +282,17 @@ struct ParseWorkspace {
   // cascade's cheap tiers). Parser-independent, so it survives cache_owner
   // changes untouched.
   FieldRouteCache field_routes;
+
+  // Title memo for line-cache misses (TitleMemoSlot): direct-mapped with a
+  // short probe window, doorkeeper admission like the line cache, sized
+  // on first use, validity following `cache_owner`.
+  std::vector<TitleMemoSlot> titles;
+  size_t next_title_victim = 0;
+  std::string title_key;
+
+  // Transition-block memos for level 1 (log and exp blocks) and level 2
+  // (log blocks; level 2 only decodes). Validity follows `cache_owner`.
+  PairBlockMemo pairs1, pairs2;
 };
 
 class WhoisParser {
@@ -335,6 +397,10 @@ class WhoisParser {
   };
   std::vector<AttrSlot> attr_slots_;
   std::string attr_names_;  // every slot's name, back to back
+
+  // std::exp of level 1's base transition block, element by element: the
+  // exp-domain row of every level-1 line without transition slots.
+  std::vector<double> base_exp1_;
 
   // Both levels' unary weight rows for each merged attribute, adjacent in
   // one cache-dense table: scoring an interned attribute against both

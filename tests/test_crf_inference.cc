@@ -1,6 +1,8 @@
 // CRF inference correctness: the dynamic programs of the paper's appendix
-// are validated against brute-force enumeration, and the analytic gradient
-// of the log-likelihood against finite differences.
+// are validated against brute-force enumeration, the analytic gradient
+// of the log-likelihood against finite differences, and the exp-domain
+// path log-probability against long-double references and across every
+// path that reports it.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -15,7 +17,12 @@
 #include "crf/model.h"
 #include "crf/tagger.h"
 #include "crf/viterbi.h"
+#include "crf/workspace.h"
+#include "datagen/temporal.h"
+#include "text/line_splitter.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
+#include "whois/whois_parser.h"
 
 namespace whoiscrf::crf {
 namespace {
@@ -392,6 +399,298 @@ TEST(InferenceEdgeCases, ParallelEvaluationMatchesSerial) {
   ASSERT_EQ(grad_serial.size(), grad_parallel.size());
   for (size_t k = 0; k < grad_serial.size(); ++k) {
     ASSERT_NEAR(grad_serial[k], grad_parallel[k], 1e-9) << "k=" << k;
+  }
+}
+
+
+// --- PathLogProb -----------------------------------------------------------
+
+// Dense random log-potentials: unary ~ N(0, unary_sd^2), pairwise
+// ~ N(0, pair_sd^2).
+CrfModel::Scores RandomScores(int L, int T, double unary_sd, double pair_sd,
+                              uint64_t seed) {
+  util::Rng rng(seed);
+  CrfModel::Scores s;
+  s.T = T;
+  s.L = L;
+  s.unary.resize(static_cast<size_t>(T) * L);
+  for (double& u : s.unary) u = rng.Gaussian() * unary_sd;
+  s.pairwise.resize(static_cast<size_t>(T) * L * L);
+  for (double& p : s.pairwise) p = rng.Gaussian() * pair_sd;
+  return s;
+}
+
+std::vector<int> RandomPath(int L, int T, util::Rng& rng) {
+  std::vector<int> y(static_cast<size_t>(T));
+  for (int& label : y) label = static_cast<int>(rng.UniformInt(0, L - 1));
+  return y;
+}
+
+// The pairwise + unary potential of stepping from label i at t-1 to j at t.
+long double Step(const CrfModel::Scores& s, int t, int i, int j) {
+  return static_cast<long double>(s.PairRow(t)[i * s.L + j]) +
+         s.unary[static_cast<size_t>(t) * s.L + j];
+}
+
+long double PathScoreLd(const CrfModel::Scores& s, const std::vector<int>& y) {
+  long double score = s.unary[static_cast<size_t>(y[0])];
+  for (int t = 1; t < s.T; ++t) {
+    score += Step(s, t, y[static_cast<size_t>(t - 1)], y[static_cast<size_t>(t)]);
+  }
+  return score;
+}
+
+// -log1p(eps) by the same relative recursion as PathLogProb, in long
+// double and with every factor exponentiated as one difference. Long
+// double's range covers every case below, so it needs no rescaling.
+long double LongDoubleLogProb(const CrfModel::Scores& s,
+                              const std::vector<int>& y) {
+  const int L = s.L;
+  std::vector<long double> cur(static_cast<size_t>(L)), next(cur.size());
+  for (int j = 0; j < L; ++j) {
+    cur[static_cast<size_t>(j)] =
+        j == y[0] ? 0.0L
+                  : expl(static_cast<long double>(s.unary[static_cast<size_t>(j)]) -
+                         s.unary[static_cast<size_t>(y[0])]);
+  }
+  for (int t = 1; t < s.T; ++t) {
+    const int yp = y[static_cast<size_t>(t - 1)];
+    const int yt = y[static_cast<size_t>(t)];
+    const long double on = Step(s, t, yp, yt);
+    for (int j = 0; j < L; ++j) {
+      long double acc = 0.0L;
+      for (int i = 0; i < L; ++i) {
+        acc += cur[static_cast<size_t>(i)] * expl(Step(s, t, i, j) - on);
+      }
+      if (j != yt) acc += expl(Step(s, t, yp, j) - on);
+      next[static_cast<size_t>(j)] = acc;
+    }
+    cur.swap(next);
+  }
+  long double eps = 0.0L;
+  for (long double a : cur) eps += a;
+  return -log1pl(eps);
+}
+
+// -log1p(eps) with eps = sum over every other path of exp(s(y') - s(y)).
+long double BruteForceLogProb(const CrfModel::Scores& s,
+                              const std::vector<int>& y) {
+  const long double own = PathScoreLd(s, y);
+  long double eps = 0.0L;
+  std::vector<int> other(static_cast<size_t>(s.T), 0);
+  while (true) {
+    if (other != y) eps += expl(PathScoreLd(s, other) - own);
+    int pos = 0;
+    while (pos < s.T) {
+      if (++other[static_cast<size_t>(pos)] < s.L) break;
+      other[static_cast<size_t>(pos)] = 0;
+      ++pos;
+    }
+    if (pos == s.T) break;
+  }
+  return -log1pl(eps);
+}
+
+double RelErr(double got, long double want) {
+  if (want == 0.0L) return got == 0.0 ? 0.0 : 1.0;
+  return static_cast<double>(fabsl((static_cast<long double>(got) - want) / want));
+}
+
+constexpr double kMaxRelErr = 1e-13;
+
+TEST(PathLogProbTest, MatchesBruteForceEnumeration) {
+  util::Rng rng(7);
+  for (int L : {2, 3, 6, 12}) {
+    for (int T = 1; T <= 6; ++T) {
+      if (std::pow(L, T) > 3e5) continue;
+      for (uint64_t seed = 0; seed < 3; ++seed) {
+        const CrfModel::Scores s =
+            RandomScores(L, T, 1.5, 1.0, 1000 * L + 10 * T + seed);
+        std::vector<std::vector<int>> paths = {Decode(s).labels,
+                                               RandomPath(L, T, rng)};
+        Workspace ws;
+        for (const std::vector<int>& y : paths) {
+          const double got = PathLogProb(s, y, ws);
+          EXPECT_LE(RelErr(got, BruteForceLogProb(s, y)), kMaxRelErr)
+              << "L=" << L << " T=" << T << " seed=" << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(PathLogProbTest, MatchesLongDoubleReferenceFlatToPeaked) {
+  struct Shape {
+    double unary_sd, pair_sd;
+  };
+  // Flat (eps ~ L^T, past 2^512 for long records), moderate, and peaked.
+  const Shape shapes[] = {{0.01, 0.01}, {1.5, 1.0}, {6.0, 3.0}};
+  util::Rng rng(11);
+  Workspace ws;  // reused across sizes, as the parse fast path does
+  for (int L : {2, 6, 12}) {
+    for (int T : {1, 2, 17, 64, 200}) {
+      for (const Shape& shape : shapes) {
+        const CrfModel::Scores s = RandomScores(
+            L, T, shape.unary_sd, shape.pair_sd, 97 * L + T);
+        std::vector<std::vector<int>> paths = {Decode(s).labels,
+                                               RandomPath(L, T, rng)};
+        for (const std::vector<int>& y : paths) {
+          const double got = PathLogProb(s, y, ws);
+          ASSERT_TRUE(std::isfinite(got));
+          EXPECT_LE(got, 0.0);
+          EXPECT_LE(RelErr(got, LongDoubleLogProb(s, y)), kMaxRelErr)
+              << "L=" << L << " T=" << T << " unary_sd=" << shape.unary_sd;
+        }
+      }
+    }
+  }
+}
+
+TEST(PathLogProbTest, RescalesOutsideDoubleRange) {
+  Workspace ws;
+  // Flat, long: eps ~ 12^300 > DBL_MAX, so only the rescaled sum stays
+  // finite. The +5000 offset on every unary score leaves every
+  // probability unchanged but puts s(y) and log Z near 1.5e6, where the
+  // fallback `score - log Z` keeps only ~1e-12 of log P's ~-745.
+  CrfModel::Scores flat = RandomScores(12, 300, 0.01, 0.01, 5);
+  for (double& u : flat.unary) u += 5000.0;
+  util::Rng rng(3);
+  for (const std::vector<int>& y : {Decode(flat).labels, RandomPath(12, 300, rng)}) {
+    EXPECT_LE(RelErr(PathLogProb(flat, y, ws), LongDoubleLogProb(flat, y)),
+              kMaxRelErr);
+  }
+  // Peaked: one path leads every position by ~400 nats, so eps ~ 1e-170
+  // sits below 2^-512 from the first step on.
+  CrfModel::Scores peaked = RandomScores(6, 120, 1.0, 1.0, 6);
+  const std::vector<int> y = RandomPath(6, 120, rng);
+  for (int t = 0; t < peaked.T; ++t) {
+    peaked.unary[static_cast<size_t>(t) * 6 + y[static_cast<size_t>(t)]] += 400.0;
+  }
+  const double got = PathLogProb(peaked, y, ws);
+  EXPECT_LT(got, 0.0);
+  EXPECT_GT(got, -1e-150);
+  EXPECT_LE(RelErr(got, LongDoubleLogProb(peaked, y)), kMaxRelErr);
+}
+
+TEST(PathLogProbTest, FallsBackToLogPartitionBeyondExpRange) {
+  CrfModel model = RandomModel(4, 5, 17);
+  model.weights()[model.TransitionIndex(1, 2)] = -800.0;
+  const CompiledSequence seq = RandomSequence(model, 9, 18);
+  const CrfModel::Scores scores = model.ComputeScores(seq);
+  // A path through the -800 transition: exp(-800) is 0 in double, so the
+  // exp-domain frame cannot be formed and the log-domain form answers.
+  std::vector<int> through = {0, 1, 2, 3, 0, 1, 2, 1, 0};
+  double score = 0.0;
+  for (int t = 0; t < scores.T; ++t) {
+    score += scores.unary[static_cast<size_t>(t) * 4 + through[static_cast<size_t>(t)]];
+    if (t >= 1) {
+      score += scores.PairRow(t)[through[static_cast<size_t>(t - 1)] * 4 +
+                                 through[static_cast<size_t>(t)]];
+    }
+  }
+  Workspace ws;
+  EXPECT_EQ(PathLogProb(scores, through, ws), score - LogPartition(scores));
+  // The Viterbi path avoids it; the vanished alternatives weigh nothing.
+  const std::vector<int> best = Decode(scores).labels;
+  EXPECT_LE(RelErr(PathLogProb(scores, best, ws),
+                   LongDoubleLogProb(scores, best)),
+            kMaxRelErr);
+}
+
+TEST(PathLogProbTest, SuppliedExpRowsGiveTheSameBits) {
+  // Row tables the way the WHOIS fast path builds them: shared blocks
+  // through pair_rows, with exp_pair_rows holding their std::exp.
+  CrfModel model = RandomModel(6, 8, 21);
+  const CompiledSequence seq = RandomSequence(model, 40, 22);
+  const CrfModel::Scores dense = model.ComputeScores(seq);
+  CrfModel::Scores rows = dense;
+  std::vector<std::vector<double>> exp_blocks(seq.size());
+  rows.pair_rows.assign(seq.size(), nullptr);
+  rows.exp_pair_rows.assign(seq.size(), nullptr);
+  for (int t = 1; t < dense.T; ++t) {
+    rows.pair_rows[static_cast<size_t>(t)] = dense.PairRow(t);
+    for (int ij = 0; ij < 36; ++ij) {
+      exp_blocks[static_cast<size_t>(t)].push_back(std::exp(dense.PairRow(t)[ij]));
+    }
+    rows.exp_pair_rows[static_cast<size_t>(t)] = exp_blocks[static_cast<size_t>(t)].data();
+  }
+  Workspace ws;
+  const std::vector<int> y = Decode(dense).labels;
+  EXPECT_EQ(PathLogProb(rows, y, ws), PathLogProb(dense, y, ws));
+}
+
+TEST(PathLogProbTest, EveryTaggerPathReportsTheSameDouble) {
+  CrfModel model = RandomModel(5, 10, 31);
+  const Tagger tagger(model);
+  for (uint64_t r = 0; r < 20; ++r) {
+    const CompiledSequence seq = RandomSequence(model, 3 + static_cast<int>(r), 40 + r);
+    std::vector<text::LineAttributes> lines;
+    for (const CompiledItem& item : seq) {
+      text::LineAttributes attrs;
+      for (int a : item.attrs) {
+        attrs.attrs.push_back(model.vocab().Name(a));
+        attrs.transition.push_back(std::find(item.trans_slots.begin(),
+                                             item.trans_slots.end(), a) !=
+                                   item.trans_slots.end());
+      }
+      lines.push_back(std::move(attrs));
+    }
+    const TagResult classic = tagger.TagWithConfidence(lines);
+    Workspace ws;
+    ws.seq = model.Compile(lines);
+    const double viterbi_only = tagger.TagCompiledViterbi(ws).sequence_log_prob;
+    const double full = tagger.TagCompiled(ws).sequence_log_prob;
+    const CrfModel::Scores scores = model.ComputeScores(model.Compile(lines));
+    EXPECT_EQ(classic.sequence_log_prob, viterbi_only) << r;
+    EXPECT_EQ(classic.sequence_log_prob, full) << r;
+    EXPECT_EQ(classic.sequence_log_prob,
+              SequenceLogProb(scores, classic.labels)) << r;
+    EXPECT_LE(RelErr(classic.sequence_log_prob,
+                     LongDoubleLogProb(scores, classic.labels)),
+              kMaxRelErr) << r;
+  }
+}
+
+TEST(PathLogProbTest, WhoisParsePathsAgreeOnDriftedCorpus) {
+  // Train on the pre-drift era, parse records from every era: Parse,
+  // ParseBatch and ParseNaive, and the level-1 tagger entry points on the
+  // same lines, must report one double, within 1e-13 of the reference.
+  datagen::TemporalCorpusOptions options;
+  options.size = 600;
+  options.seed = 19;
+  const datagen::TemporalCorpusGenerator generator(options);
+  std::vector<whois::LabeledRecord> train;
+  for (size_t i = 0; i < 100; ++i) train.push_back(generator.Generate(i).thick);
+  const whois::WhoisParser parser = whois::WhoisParser::Train(train);
+
+  std::vector<std::string> records;
+  for (size_t i = 100; i < options.size; i += 5) {
+    records.push_back(generator.Generate(i).thick.text);
+  }
+  util::ThreadPool pool(2);
+  const std::vector<whois::ParsedWhois> batch = parser.ParseBatch(records, pool);
+  const text::Tokenizer tokenizer(parser.options().tokenizer);
+  const CrfModel& level1 = parser.level1_model();
+  const Tagger tagger(level1);
+  whois::ParseWorkspace pws;
+  Workspace ws;
+  for (size_t r = 0; r < records.size(); ++r) {
+    const double fast = parser.Parse(records[r], pws).log_prob;
+    EXPECT_EQ(batch[r].log_prob, fast) << r;
+    EXPECT_EQ(parser.ParseNaive(records[r]).log_prob, fast) << r;
+
+    const std::vector<text::Line> lines = text::SplitRecord(records[r]);
+    ASSERT_FALSE(lines.empty());
+    std::vector<text::LineAttributes> attrs;
+    for (const text::Line& line : lines) attrs.push_back(tokenizer.Extract(line));
+    const TagResult classic = tagger.TagWithConfidence(attrs);
+    EXPECT_EQ(classic.sequence_log_prob, fast) << r;
+    level1.CompileInto(tokenizer, std::span<const text::Line>(lines), ws);
+    EXPECT_EQ(tagger.TagCompiledViterbi(ws).sequence_log_prob, fast) << r;
+
+    const CrfModel::Scores scores = level1.ComputeScores(level1.Compile(attrs));
+    EXPECT_LE(RelErr(fast, LongDoubleLogProb(scores, classic.labels)),
+              kMaxRelErr) << r;
   }
 }
 

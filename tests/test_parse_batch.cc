@@ -1,8 +1,8 @@
 // Batch parsing engine: fused tokenize+compile equivalence, fast-vs-naive
 // Parse equivalence, ParseBatch-vs-sequential equivalence across thread
 // counts, warm ParseBatch workspaces, cache admission and collisions, the
-// bounded route-plan memo, parser options round-trip, and legacy
-// model-stream loading.
+// title and transition-block memos, the bounded route-plan memo, parser
+// options round-trip, and legacy model-stream loading.
 //
 // These tests are the guardrail for the inference fast path: every
 // workspace shortcut must be *exactly* the classic pipeline, down to
@@ -10,6 +10,7 @@
 // parallel path under ThreadSanitizer.
 #include <algorithm>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "obs/metrics.h"
 #include "text/line_splitter.h"
 #include "text/separator.h"
+#include "util/random.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "whois/json_export.h"
@@ -219,6 +221,125 @@ TEST_F(ParseBatchTest, CacheAdmissionAndCollisionsKeepOutputIdentical) {
   EXPECT_GE(long_lived.doorkeeper.clears, 1u);
   EXPECT_LE(long_lived.field_routes.by_title.size(),
             FieldRouteCache::kMaxTitles);
+}
+
+TEST_F(ParseBatchTest, TitleAndTransitionMemosKeepOutputIdentical) {
+  // Titled lines built from the model's transition-slotted first title
+  // words, under every layout marker, separator kind and empty/non-empty
+  // value, with numbered titles: far more distinct title keys and
+  // trans_slots lists than the memos have slots, so entries are evicted,
+  // re-recorded and collide within one record. Also untitled lines,
+  // `[bracket]` titles, an empty bracket title, URL values, and values
+  // that repeat a title word. Output — parseLogProb included — must not
+  // depend on what the memos held.
+  const crf::CrfModel& level1 = parser_->level1_model();
+  std::vector<std::string> first_words;
+  for (int id = 0; id < static_cast<int>(level1.vocab().size()); ++id) {
+    const std::string& name = level1.vocab().Name(id);
+    if (level1.TransSlot(id) >= 0 && name.size() > 2 &&
+        name.compare(name.size() - 2, 2, "@T") == 0) {
+      first_words.push_back(name.substr(0, name.size() - 2));
+    }
+  }
+  ASSERT_GE(first_words.size(), 8u);
+  const char* kSecondWords[] = {"name", "street", "city", "email", "phone",
+                                "date", "server", "organization"};
+  const char* kSeparators[] = {": ", " = ", "....: ", "\t", "   "};
+  const char* kIndents[] = {"", "  ", "    "};
+  const char* kSymbols[] = {"", "", "", "% ", "# ", "> "};
+
+  util::Rng rng(2024);
+  std::vector<std::string> records;
+  std::set<std::string> titles;
+  for (size_t r = 0; r < 320; ++r) {
+    std::string rec;
+    for (size_t k = 0; k < 40; ++k) {
+      if (rng.Bernoulli(0.12)) rec += "\n";  // NL on the next line
+      rec += kIndents[rng.UniformInt(0, 2)];
+      rec += kSymbols[rng.UniformInt(0, 5)];
+      const std::string first =
+          first_words[static_cast<size_t>(rng.UniformInt(
+              0, static_cast<int64_t>(first_words.size()) - 1))];
+      std::string title = first;
+      if (rng.Bernoulli(0.7)) {
+        title += std::string(" ") + kSecondWords[rng.UniformInt(0, 7)];
+      }
+      if (rng.Bernoulli(0.4)) title += " " + std::to_string(rng.UniformInt(0, 999));
+      std::string value;
+      switch (rng.UniformInt(0, 5)) {
+        case 0: break;  // empty value
+        case 1: value = title; break;
+        case 2: value = "http://www.example" + std::to_string(r) + ".com/"; break;
+        case 3: value = "NS" + std::to_string(k) + ".EXAMPLE.NET"; break;
+        default: value = "Value " + std::to_string(rng.UniformInt(0, 50)); break;
+      }
+      const int64_t shape = rng.UniformInt(0, 11);
+      if (shape == 0) {
+        rec += value.empty() ? "UNTITLED LINE" : value;  // no separator
+      } else if (shape == 1) {
+        rec += "[" + title + "] " + value;
+        titles.insert(title);
+      } else if (shape == 2) {
+        rec += "[ ] " + (value.empty() ? std::string("x") : value);
+      } else {
+        const char* sep = kSeparators[rng.UniformInt(0, 4)];
+        // Wide-space and tab separators need a value to split on.
+        if ((sep[0] == ' ' || sep[0] == '\t') && value.empty()) value = "v";
+        rec += title + sep + value;
+        titles.insert(title);
+      }
+      rec += "\n";
+    }
+    records.push_back(std::move(rec));
+  }
+
+  // Distinct trans_slots lists per level, as the fused compile sees them.
+  const text::Tokenizer tokenizer(parser_->options().tokenizer);
+  std::set<std::vector<int>> lists1, lists2;
+  crf::Workspace cws;
+  for (const std::string& rec : records) {
+    const std::vector<text::Line> lines = text::SplitRecord(rec);
+    level1.CompileInto(tokenizer, std::span<const text::Line>(lines), cws);
+    for (const crf::CompiledItem& item : cws.seq) lists1.insert(item.trans_slots);
+    parser_->level2_model().CompileInto(
+        tokenizer, std::span<const text::Line>(lines), cws);
+    for (const crf::CompiledItem& item : cws.seq) lists2.insert(item.trans_slots);
+  }
+
+  datagen::CorpusOptions corpus;
+  corpus.size = 40;
+  corpus.seed = 12;
+  datagen::CorpusGenerator generator(corpus);
+  std::vector<LabeledRecord> train;
+  for (size_t i = 0; i < 40; ++i) train.push_back(generator.Generate(i).thick);
+  WhoisParserOptions options;
+  options.tokenizer.max_word_length = 10;
+  const WhoisParser other = WhoisParser::Train(train, options);
+
+  ParseWorkspace long_lived;
+  ParseWorkspace handed;  // changes parser every 40 records
+  for (size_t r = 0; r < records.size(); ++r) {
+    const ParsedWhois warm = parser_->Parse(records[r], long_lived);
+    const std::string json = ToJson(warm);
+    ParseWorkspace fresh_ws;
+    const ParsedWhois fresh = parser_->Parse(records[r], fresh_ws);
+    EXPECT_EQ(json, ToJson(fresh)) << "record " << r;
+    EXPECT_EQ(warm.log_prob, fresh.log_prob) << "record " << r;
+    const ParsedWhois naive = parser_->ParseNaive(records[r]);
+    EXPECT_EQ(json, ToJson(naive)) << "record " << r;
+    EXPECT_EQ(warm.log_prob, naive.log_prob) << "record " << r;
+    if ((r / 40) % 2 == 0) {
+      EXPECT_EQ(json, ToJson(parser_->Parse(records[r], handed)))
+          << "record " << r;
+    } else {
+      EXPECT_EQ(ToJson(other.Parse(records[r], handed)),
+                ToJson(other.ParseNaive(records[r])))
+          << "record " << r;
+    }
+  }
+  EXPECT_GT(titles.size(), long_lived.titles.size());
+  EXPECT_GT(lists1.size(), long_lived.pairs1.entries.size());
+  EXPECT_GT(lists2.size(), long_lived.pairs2.entries.size());
 }
 
 TEST(FieldRouteCacheTest, StaysBoundedUnderUniqueTitles) {

@@ -298,12 +298,15 @@ TEST_F(ServeEventTest, WriteQueueOverflowPausesReadingUntilDrained) {
   options.service.threads = 1;
   options.service.queue_capacity = 1 << 16;
   options.write_queue_max_bytes = 16 * 1024;
+  // Pinned kernel buffers on both ends (the kernel doubles each, and
+  // pinning turns autotuning off): a client that does not read backs
+  // responses up into the server's write queue after a few tens of KiB.
+  options.send_buffer_bytes = 4096;
   ParseServer server(*parser_, options);
 
   const uint64_t stalls_before =
       CounterNow("whoiscrf_serve_backpressure_stalls_total");
 
-  // A small client receive window so responses back up on the server.
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   const int rcvbuf = 4096;
@@ -317,10 +320,10 @@ TEST_F(ServeEventTest, WriteQueueOverflowPausesReadingUntilDrained) {
 
   const std::string record = Record(2);
   const std::string expected = OfflineJson(record);
-  // Enough response bytes to overflow the kernel's autotuned send buffer
-  // (tcp_wmem max is typically 4 MiB) so writes actually hit EAGAIN and
-  // the user-space write queue fills past its 16 KiB bound.
-  const size_t kRequests = (12u << 20) / (expected.size() + 5) + 1;
+  // 1 MiB of responses: over ten times what the pinned buffers and the
+  // 16 KiB write-queue bound hold, so the queue must cross its bound
+  // while the client is not reading.
+  const size_t kRequests = (1u << 20) / (expected.size() + 5) + 1;
   // The writer must be a separate thread: once the server pauses reading,
   // the client's own blocking send backs up too.
   std::thread writer([&] {
@@ -330,14 +333,18 @@ TEST_F(ServeEventTest, WriteQueueOverflowPausesReadingUntilDrained) {
     }
   });
 
-  // The server answers from cache far faster than this client drains, so
-  // the write queue must cross the bound and pause the connection.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  // Nothing reads until the connection stalls, so the stall is certain;
+  // wait for the counter itself. The guard only turns a hang (a broken
+  // pause path) into a failure, and is far beyond any host's load.
+  const auto guard =
+      std::chrono::steady_clock::now() + std::chrono::seconds(300);
   while (CounterNow("whoiscrf_serve_backpressure_stalls_total") ==
-             stalls_before &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+         stalls_before) {
+    if (std::chrono::steady_clock::now() > guard) {
+      ADD_FAILURE() << "write queue never paused the connection";
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_GT(CounterNow("whoiscrf_serve_backpressure_stalls_total"),
             stalls_before);
@@ -354,6 +361,66 @@ TEST_F(ServeEventTest, WriteQueueOverflowPausesReadingUntilDrained) {
     ASSERT_EQ(body, expected) << "response " << i;
   }
   writer.join();
+  ::close(fd);
+  server.Shutdown();
+}
+
+TEST_F(ServeEventTest, WriteQueueBoundHoldsWhenFramesArriveOneByOne) {
+  // Cache hits complete inline while a read batch is dispatched. Once the
+  // connection already waits for EPOLLOUT, those responses only grow the
+  // write queue, and they must still count against its bound. Frames sent
+  // one at a time reach the server in one-frame read batches, which takes
+  // exactly that path as soon as the pinned kernel buffers are full.
+  ParseServerOptions options;
+  options.service.threads = 1;
+  options.write_queue_max_bytes = 16 * 1024;
+  options.send_buffer_bytes = 4096;
+  ParseServer server(*parser_, options);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  FdStream stream(fd);
+  const std::string record = Record(3);
+  const std::string expected = OfflineJson(record);
+  Status status = Status::kError;
+  std::string body;
+  // Prime the response cache, so every later request completes inline.
+  ASSERT_TRUE(WriteFrame(stream, record));
+  ASSERT_EQ(ReadResponse(stream, status, body, kDefaultMaxFrameBytes),
+            FrameRead::kFrame);
+
+  const uint64_t stalls_before =
+      CounterNow("whoiscrf_serve_backpressure_stalls_total");
+  // 256 KiB of responses, far past buffers plus bound; stop sending as
+  // soon as the connection pauses (the server then stops reading).
+  const size_t max_requests = (256u << 10) / (expected.size() + 5) + 1;
+  size_t sent = 0;
+  while (sent < max_requests &&
+         CounterNow("whoiscrf_serve_backpressure_stalls_total") ==
+             stalls_before) {
+    ASSERT_TRUE(WriteFrame(stream, record));
+    ++sent;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(CounterNow("whoiscrf_serve_backpressure_stalls_total"),
+            stalls_before)
+      << sent << " requests answered without a pause";
+
+  for (size_t i = 0; i < sent; ++i) {
+    ASSERT_EQ(ReadResponse(stream, status, body, kDefaultMaxFrameBytes),
+              FrameRead::kFrame)
+        << "response " << i;
+    ASSERT_EQ(status, Status::kOk) << "response " << i;
+    ASSERT_EQ(body, expected) << "response " << i;
+  }
   ::close(fd);
   server.Shutdown();
 }
