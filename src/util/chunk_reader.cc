@@ -1,8 +1,6 @@
 #include "util/chunk_reader.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,51 +12,14 @@
 namespace whoiscrf::util {
 
 FileByteSource::FileByteSource(const std::string& path, size_t chunk_bytes)
-    : chunk_bytes_(std::max<size_t>(1, chunk_bytes)) {
-  fd_ = ::open(path.c_str(), O_RDONLY);
+    : buffer_(std::max<size_t>(1, chunk_bytes)) {
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd_ < 0) throw std::runtime_error("cannot open " + path);
-
-  // Map regular, non-empty files; everything else (pipes, devices, empty
-  // files — mmap of length 0 is an error) takes the read(2) path.
-  struct stat st {};
-  if (::fstat(fd_, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
-    void* map = ::mmap(nullptr, static_cast<size_t>(st.st_size), PROT_READ,
-                       MAP_PRIVATE, fd_, 0);
-    if (map != MAP_FAILED) {
-      map_ = static_cast<const char*>(map);
-      map_size_ = static_cast<size_t>(st.st_size);
-      ::madvise(map, map_size_, MADV_SEQUENTIAL);
-    }
-  }
-  if (map_ == nullptr) buffer_.resize(chunk_bytes_);
 }
 
-FileByteSource::~FileByteSource() {
-  if (map_ != nullptr) {
-    ::munmap(const_cast<char*>(map_), map_size_);
-  }
-  if (fd_ >= 0) ::close(fd_);
-}
+FileByteSource::~FileByteSource() { ::close(fd_); }
 
 std::string_view FileByteSource::Next() {
-  if (map_ != nullptr) {
-    // Drop consumed pages (everything before the chunk being handed out —
-    // older views are invalid by contract). Without this, a sequential
-    // scan keeps every touched page resident and "bounded-memory" parsing
-    // shows RSS growing by the full file size; MADV_DONTNEED on a clean
-    // read-only file mapping just re-faults from page cache if re-read.
-    const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-    const size_t keep_from = pos_ - (pos_ % page);
-    if (keep_from > released_) {
-      ::madvise(const_cast<char*>(map_ + released_), keep_from - released_,
-                MADV_DONTNEED);
-      released_ = keep_from;
-    }
-    const size_t n = std::min(chunk_bytes_, map_size_ - pos_);
-    const std::string_view chunk(map_ + pos_, n);
-    pos_ += n;
-    return chunk;
-  }
   size_t filled = 0;
   while (filled < buffer_.size()) {
     const ssize_t n =

@@ -3,9 +3,10 @@
 //
 // A ByteSource hands out fixed-size chunks (views valid until the next
 // call), so a scanner can process a corpus far larger than memory while
-// touching at most one chunk at a time. FileByteSource serves a regular
-// file zero-copy from an mmap'ed region (advised MADV_SEQUENTIAL); pipes
-// and other unmappable inputs fall back to buffered reads transparently.
+// touching at most one chunk at a time. FileByteSource reads any file,
+// pipe or device with read(2) into one chunk buffer, so its resident set
+// is that buffer whatever the file's size, and a file that shrinks under
+// the reader ends the input early instead of faulting.
 #pragma once
 
 #include <cstddef>
@@ -31,9 +32,8 @@ class ByteSource {
   virtual std::string_view Next() = 0;
 };
 
-// Regular file, served from mmap when the file can be mapped, buffered
-// read(2) otherwise. Throws std::runtime_error when the file cannot be
-// opened.
+// A file read through one chunk_bytes buffer with read(2). Throws
+// std::runtime_error when the file cannot be opened or a read fails.
 class FileByteSource : public ByteSource {
  public:
   explicit FileByteSource(const std::string& path,
@@ -45,18 +45,9 @@ class FileByteSource : public ByteSource {
 
   std::string_view Next() override;
 
-  // True when chunks are views into an mmap'ed region (introspection for
-  // tests and the bench).
-  bool mapped() const { return map_ != nullptr; }
-
  private:
   int fd_ = -1;
-  size_t chunk_bytes_;
-  const char* map_ = nullptr;  // non-null iff the file is mapped
-  size_t map_size_ = 0;
-  size_t pos_ = 0;                 // mmap read cursor
-  size_t released_ = 0;            // consumed pages MADV_DONTNEED'd so far
-  std::vector<char> buffer_;       // read(2) fallback
+  std::vector<char> buffer_;
 };
 
 // Wraps any std::istream (stdin, stringstream). The stream must outlive

@@ -1,7 +1,6 @@
 #include "whois/record_store.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -53,6 +52,22 @@ size_t PreadFull(int fd, char* out, size_t n, uint64_t offset) {
     done += static_cast<size_t>(r);
   }
   return done;
+}
+
+// Reads exactly `n` bytes at `offset`; a file that ends first (a shard
+// truncated under its reader) throws.
+void PreadExact(int fd, char* out, size_t n, uint64_t offset) {
+  if (PreadFull(fd, out, n, offset) != n) {
+    throw std::runtime_error("record store: unexpected EOF");
+  }
+}
+
+// A record's span is its length word and bytes, bounded by the index; the
+// length word must fill it exactly.
+void CheckLengthWord(const char* span, uint64_t span_bytes) {
+  if (LoadU32(span) != span_bytes - 4) {
+    throw std::runtime_error("record store: length word disagrees with index");
+  }
 }
 
 // In-progress shards live beside their final name until sealed.
@@ -333,91 +348,87 @@ void RecordStoreWriter::Finish() {
 // --- Reader --------------------------------------------------------------
 
 RecordStoreReader::RecordStoreReader(const std::string& prefix) {
-  for (size_t s = 0;; ++s) {
-    const std::string path = RecordStoreShardPath(prefix, s);
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-      if (s == 0) throw std::runtime_error("cannot open record store " + path);
-      break;
-    }
-    Shard shard;
-    shard.fd = fd;
-    struct stat st {};
-    if (::fstat(fd, &st) != 0 || st.st_size < 28) {
-      ::close(fd);
-      throw std::runtime_error("record store: truncated shard " + path);
-    }
-    shard.file_size = static_cast<size_t>(st.st_size);
-    void* map = ::mmap(nullptr, shard.file_size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map != MAP_FAILED) {
-      shard.map = static_cast<const char*>(map);
-      ::madvise(map, shard.file_size, MADV_RANDOM);
-    }
-
-    char header[8];
-    ReadBytes(shard, 0, header, 8);
-    char footer[20];
-    ReadBytes(shard, shard.file_size - 20, footer, 20);
-    if (LoadU32(header) != kRecordStoreMagic ||
-        LoadU32(header + 4) != kRecordStoreVersion ||
-        LoadU32(footer + 16) != kRecordStoreMagic) {
-      if (shard.map != nullptr) {
-        ::munmap(const_cast<char*>(shard.map), shard.file_size);
+  try {
+    for (size_t s = 0;; ++s) {
+      const std::string path = RecordStoreShardPath(prefix, s);
+      const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+      if (fd < 0) {
+        if (s == 0) {
+          throw std::runtime_error("cannot open record store " + path);
+        }
+        break;
       }
-      ::close(fd);
-      throw std::runtime_error("record store: bad magic in " + path);
+      Shard& shard = shards_.emplace_back();
+      shard.fd = fd;
+      shard.LoadIndex(path);
+      shard.first_record = total_records_;
+      total_records_ += shard.offsets.size();
     }
-    const uint64_t count = LoadU64(footer);
-    const uint64_t index_offset = LoadU64(footer + 8);
-    if (index_offset + count * 8 + 20 != shard.file_size) {
-      if (shard.map != nullptr) {
-        ::munmap(const_cast<char*>(shard.map), shard.file_size);
-      }
-      ::close(fd);
-      throw std::runtime_error("record store: inconsistent index in " + path);
-    }
-    shard.offsets.resize(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      char entry[8];
-      ReadBytes(shard, index_offset + i * 8, entry, 8);
-      shard.offsets[i] = LoadU64(entry);
-    }
-    shard.first_record = total_records_;
-    total_records_ += count;
-    shards_.push_back(std::move(shard));
+  } catch (...) {
+    for (const Shard& shard : shards_) ::close(shard.fd);
+    throw;
   }
 }
 
 RecordStoreReader::~RecordStoreReader() {
-  for (Shard& shard : shards_) {
-    if (shard.map != nullptr) {
-      ::munmap(const_cast<char*>(shard.map), shard.file_size);
+  for (const Shard& shard : shards_) ::close(shard.fd);
+}
+
+void RecordStoreReader::Shard::LoadIndex(const std::string& path) {
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || st.st_size < 28) {
+    throw std::runtime_error("record store: truncated shard " + path);
+  }
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
+  char header[8];
+  PreadExact(fd, header, 8, 0);
+  char footer[20];
+  PreadExact(fd, footer, 20, file_size - 20);
+  if (LoadU32(header) != kRecordStoreMagic ||
+      LoadU32(header + 4) != kRecordStoreVersion ||
+      LoadU32(footer + 16) != kRecordStoreMagic) {
+    throw std::runtime_error("record store: bad magic in " + path);
+  }
+  const uint64_t count = LoadU64(footer);
+  index_offset = LoadU64(footer + 8);
+  if (count > (file_size - 28) / 8 ||
+      index_offset != file_size - 20 - count * 8) {
+    throw std::runtime_error("record store: inconsistent index in " + path);
+  }
+  // One pread for the whole index, decoded in place. Every offset must
+  // leave room for a length word before the index and follow the previous
+  // record's, so every span SpanEnd gives is at least 4 bytes long.
+  offsets.resize(count);
+  char* raw = reinterpret_cast<char*>(offsets.data());
+  PreadExact(fd, raw, count * 8, index_offset);
+  uint64_t next = 8;
+  for (uint64_t i = 0; i < count; ++i) {
+    const uint64_t offset = LoadU64(raw + i * 8);
+    if (offset < next || offset > index_offset - 4) {
+      throw std::runtime_error("record store: inconsistent index in " + path);
     }
-    if (shard.fd >= 0) ::close(shard.fd);
+    offsets[i] = offset;
+    next = offset + 4;
   }
 }
 
-void RecordStoreReader::ReadBytes(const Shard& shard, uint64_t offset,
-                                  char* out, size_t n) const {
-  if (offset + n > shard.file_size) {
-    throw std::runtime_error("record store: read past end of shard");
-  }
-  if (shard.map != nullptr) {
-    std::memcpy(out, shard.map + offset, n);
-    return;
-  }
-  size_t done = 0;
-  while (done < n) {
-    const ssize_t r = ::pread(shard.fd, out + done, n - done,
-                              static_cast<off_t>(offset + done));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("record store: pread failed: ") +
-                               std::strerror(errno));
-    }
-    if (r == 0) throw std::runtime_error("record store: unexpected EOF");
-    done += static_cast<size_t>(r);
-  }
+void RecordStoreReader::Shard::ReadInto(uint64_t local,
+                                        std::string& out) const {
+  const uint64_t begin = offsets[local];
+  const size_t span = static_cast<size_t>(SpanEnd(local) - begin);
+  out.resize(span);
+  PreadExact(fd, out.data(), span, begin);
+  CheckLengthWord(out.data(), span);
+  out.erase(0, 4);
+}
+
+const RecordStoreReader::Shard& RecordStoreReader::ShardOf(
+    uint64_t index) const {
+  // Shards are equally sized except the last, so a reverse linear probe
+  // finds the owner in O(1) expected; shard counts are tiny anyway.
+  size_t s = shards_.size();
+  while (s > 0 && shards_[s - 1].first_record > index) --s;
+  return shards_[s - 1];
 }
 
 std::string RecordStoreReader::Get(uint64_t index) const {
@@ -430,18 +441,43 @@ void RecordStoreReader::GetInto(uint64_t index, std::string& out) const {
   if (index >= total_records_) {
     throw std::out_of_range("record store index out of range");
   }
-  // Shards are equally sized except the last, so a reverse linear probe
-  // finds the owner in O(1) expected; shard counts are tiny anyway.
-  size_t s = shards_.size();
-  while (s > 0 && shards_[s - 1].first_record > index) --s;
-  const Shard& shard = shards_[s - 1];
-  const uint64_t local = index - shard.first_record;
-  const uint64_t offset = shard.offsets[local];
-  char len_bytes[4];
-  ReadBytes(shard, offset, len_bytes, 4);
-  const uint32_t len = LoadU32(len_bytes);
-  out.resize(len);
-  if (len > 0) ReadBytes(shard, offset + 4, out.data(), len);
+  const Shard& shard = ShardOf(index);
+  shard.ReadInto(index - shard.first_record, out);
+}
+
+// --- Sequential source ---------------------------------------------------
+
+bool StoreRecordSource::Next(std::string& record) {
+  if (pos_ >= reader_.size()) return false;
+  const RecordStoreReader::Shard& shard = reader_.ShardOf(pos_);
+  const uint64_t local = pos_ - shard.first_record;
+  const uint64_t begin = shard.offsets[local];
+  const uint64_t span = shard.SpanEnd(local) - begin;
+  if (span > kRecordStoreBufferBytes) {
+    shard.ReadInto(local, record);
+  } else {
+    if (&shard != window_shard_ || begin < window_start_ ||
+        begin + span > window_start_ + window_len_) {
+      if (!window_) window_.reset(new char[kRecordStoreBufferBytes]);
+      // Invalidate first: a short read below leaves no stale window.
+      window_shard_ = nullptr;
+      window_len_ = PreadFull(
+          shard.fd, window_.get(),
+          static_cast<size_t>(std::min<uint64_t>(kRecordStoreBufferBytes,
+                                                 shard.index_offset - begin)),
+          begin);
+      if (window_len_ < span) {
+        throw std::runtime_error("record store: unexpected EOF");
+      }
+      window_shard_ = &shard;
+      window_start_ = begin;
+    }
+    const char* bytes = window_.get() + (begin - window_start_);
+    CheckLengthWord(bytes, span);
+    record.assign(bytes + 4, static_cast<size_t>(span - 4));
+  }
+  ++pos_;
+  return true;
 }
 
 }  // namespace whoiscrf::whois

@@ -17,8 +17,15 @@
 //   u64  index offset (file offset of the first index entry)
 //   u32  magic   0x31535257   (footer magic — detects truncation)
 //
-// Integers are little-endian. A reader seeks to the footer, loads the
-// index (8 bytes per record), and can then serve Get(i) with one pread.
+// Integers are little-endian. A reader loads the index (8 bytes per
+// record) with one pread per shard, and can then serve Get(i) with one
+// pread of the record's span: its length word and bytes. The span comes
+// from the index (the next record's offset, or the index offset for a
+// shard's last record). Buffers are sized from the index, which open
+// checks against the file size, never from a length word; a length word
+// that disagrees with its span throws.
+// Files are only ever read with pread into owned memory, never mapped: a
+// shard truncated under an open reader makes a read throw, not fault.
 #pragma once
 
 #include <cstddef>
@@ -131,9 +138,12 @@ class RecordStoreWriter {
   uint64_t shard_bytes_ = 0;     // logical shard size, buffered bytes included
 };
 
-// Random-access + streaming reader over a sharded store. Shard files are
-// mmap'ed (falling back to pread) so Get touches only the pages of the
-// requested record. Thread-safe for concurrent Get calls.
+// Random-access reader over a sharded store. Opening loads every shard's
+// offset index, which stays resident: 8 bytes per record (8 MiB per
+// default 2^20-record shard) is the reader's one O(records) memory term.
+// Get reads only the requested record. Thread-safe for concurrent Get
+// calls. Throws std::runtime_error when a shard is corrupt, or shrinks
+// under the reader.
 class RecordStoreReader {
  public:
   // Discovers `<prefix>-00000.wrs`, `<prefix>-00001.wrs`, ... until the
@@ -154,32 +164,42 @@ class RecordStoreReader {
   void GetInto(uint64_t index, std::string& out) const;
 
  private:
+  friend class StoreRecordSource;
+
   struct Shard {
     int fd = -1;
-    const char* map = nullptr;  // non-null iff mmap'ed
-    size_t file_size = 0;
+    uint64_t index_offset = 0;  // end of the record bytes
     uint64_t first_record = 0;  // global index of this shard's record 0
     std::vector<uint64_t> offsets;
+
+    // File offset one past record `local`'s last byte.
+    uint64_t SpanEnd(uint64_t local) const {
+      return local + 1 < offsets.size() ? offsets[local + 1] : index_offset;
+    }
+    // Validates the header and footer and loads `offsets` and
+    // `index_offset`.
+    void LoadIndex(const std::string& path);
+    // Record `local` into `out` with one pread of its span.
+    void ReadInto(uint64_t local, std::string& out) const;
   };
 
-  void ReadBytes(const Shard& shard, uint64_t offset, char* out,
-                 size_t n) const;
+  // The shard holding global record `index` (< size()).
+  const Shard& ShardOf(uint64_t index) const;
 
   std::vector<Shard> shards_;
   uint64_t total_records_ = 0;
 };
 
-// Sequential RecordSource over a store: shards are scanned in order with
-// bounded memory (one record materialized at a time).
+// Sequential RecordSource over a store. Each shard is read in order
+// through one kRecordStoreBufferBytes window, refilled by one pread when
+// the next record's span leaves it; a record larger than the window is
+// read straight into the caller's string. Memory is the window plus one
+// record, whatever the store's size. Not thread-safe.
 class StoreRecordSource : public RecordSource {
  public:
   explicit StoreRecordSource(const RecordStoreReader& reader)
       : reader_(reader) {}
-  bool Next(std::string& record) override {
-    if (pos_ >= reader_.size()) return false;
-    reader_.GetInto(pos_++, record);
-    return true;
-  }
+  bool Next(std::string& record) override;
   // Stores are indexed, so a resume skip is a cursor move, not a scan.
   uint64_t Skip(uint64_t n) override {
     const uint64_t skip = std::min(n, reader_.size() - pos_);
@@ -190,6 +210,10 @@ class StoreRecordSource : public RecordSource {
  private:
   const RecordStoreReader& reader_;
   uint64_t pos_ = 0;
+  std::unique_ptr<char[]> window_;  // kRecordStoreBufferBytes, on first fill
+  const RecordStoreReader::Shard* window_shard_ = nullptr;
+  uint64_t window_start_ = 0;  // file offset of window_[0]
+  size_t window_len_ = 0;      // valid bytes in window_
 };
 
 // Shard file name for `prefix` and a shard index: `<prefix>-NNNNN.wrs`.

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -390,6 +391,255 @@ TEST(RecordStoreTest, ResumeFromCursorReproducesUninterruptedStore) {
 
   RemoveStore(ref);
   RemoveStore(prefix);
+}
+
+// A `/proc/self/status` field in kB ("RssFile", "VmHWM"), -1 if absent.
+long StatusKb(const std::string& field) {
+  std::string status;
+  if (!util::ReadFileToString("/proc/self/status", status)) return -1;
+  const size_t at = status.find("\n" + field + ":");
+  if (at == std::string::npos) return -1;
+  return std::strtol(status.c_str() + at + field.size() + 2, nullptr, 10);
+}
+
+// Resident pages mapped from files: RssFile, plus RssShmem for files on
+// tmpfs, whose mapped pages count there.
+long MappedFileKb() { return StatusKb("RssFile") + StatusKb("RssShmem"); }
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+// Overwrites the little-endian u32 at `offset` of an existing file.
+void PatchU32(const std::string& path, uint64_t offset, uint32_t value) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr) << path;
+  unsigned char b[4];
+  for (int i = 0; i < 4; ++i) {
+    b[i] = static_cast<unsigned char>(value >> (8 * i));
+  }
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  EXPECT_EQ(std::fwrite(b, 1, 4, f), 4u);
+  std::fclose(f);
+}
+
+// Drains a source, returning how many records it produced.
+size_t Drain(RecordSource& source) {
+  std::string record;
+  size_t n = 0;
+  while (source.Next(record)) ++n;
+  return n;
+}
+
+TEST(RecordStoreTest, SourceMatchesGetAcrossWindowsShardsAndSkips) {
+  // Sizes chosen to put records across every window-refill case: empty
+  // records, spans that straddle the 1 MiB window's end, a span exactly
+  // the window's size, and records larger than the window.
+  const size_t window = kRecordStoreBufferBytes;
+  std::vector<std::string> records;
+  for (size_t i = 0; i < 900; ++i) {
+    std::string r;
+    if (i % 17 != 3) {
+      r.assign(i * 7919 % 9001, static_cast<char>('a' + i % 26));
+    }
+    if (i == 250) r.assign(window - 4, 'W');  // span == window
+    if (i == 251) r.assign(window - 3, 'X');  // span == window + 1
+    if (i == 600) r.assign(3 * window, 'Y');
+    records.push_back(std::move(r));
+  }
+  RecordStoreOptions options;
+  options.records_per_shard = 300;  // three shards
+  const std::string prefix = TempPrefix("store_window");
+  {
+    RecordStoreWriter writer(prefix, options);
+    for (const auto& r : records) writer.Append(r);
+    writer.Finish();
+  }
+  const RecordStoreReader reader(prefix);
+  ASSERT_EQ(reader.size(), records.size());
+  ASSERT_EQ(reader.shard_count(), 3u);
+  for (uint64_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(reader.Get(i), records[i]) << i;
+  }
+
+  StoreRecordSource source(reader);
+  std::string record;
+  for (size_t i = 0; i < records.size(); ++i) {
+    ASSERT_TRUE(source.Next(record)) << i;
+    ASSERT_EQ(record, reader.Get(i)) << i;
+  }
+  EXPECT_FALSE(source.Next(record));
+
+  // Skips into the middle of a shard: from a cold source, within a filled
+  // window, past its end, and across a shard boundary.
+  StoreRecordSource skipping(reader);
+  uint64_t pos = 0;
+  for (uint64_t skip : {150u, 2u, 90u, 200u, 0u, 7u}) {
+    ASSERT_EQ(skipping.Skip(skip), skip);
+    pos += skip;
+    for (int k = 0; k < 3; ++k, ++pos) {
+      ASSERT_TRUE(skipping.Next(record)) << pos;
+      ASSERT_EQ(record, records[pos]) << pos;
+    }
+  }
+  EXPECT_EQ(skipping.Skip(records.size()), records.size() - pos);
+  EXPECT_FALSE(skipping.Next(record));
+  RemoveStore(prefix);
+}
+
+TEST(RecordStoreTest, TruncatedShardUnderOpenReaderThrows) {
+  // Two windows of records, truncated to 100 kB after the source's first
+  // window. Reads past the new end must throw: a reader that maps its
+  // shards dies of SIGBUS here instead.
+  const std::string prefix = TempPrefix("store_truncated");
+  std::vector<std::string> records;
+  {
+    RecordStoreWriter writer(prefix);
+    for (size_t i = 0; i < 3000; ++i) {
+      records.push_back("Domain Name: R" + std::to_string(i) + ".COM\n" +
+                        std::string(700, 'x'));
+      writer.Append(records.back());
+    }
+    writer.Finish();
+  }
+  const RecordStoreReader reader(prefix);
+  StoreRecordSource source(reader);
+  std::string record;
+  ASSERT_TRUE(source.Next(record));
+  EXPECT_EQ(record, records[0]);
+  ASSERT_EQ(::truncate(RecordStoreShardPath(prefix, 0).c_str(), 100000), 0);
+
+  EXPECT_EQ(reader.Get(10), records[10]);
+  EXPECT_THROW(reader.Get(1500), std::runtime_error);
+  StoreRecordSource fresh(reader);
+  EXPECT_THROW(Drain(fresh), std::runtime_error);
+  // Records the first window already read may still be served; the first
+  // one past it throws.
+  EXPECT_THROW(Drain(source), std::runtime_error);
+  RemoveStore(prefix);
+}
+
+TEST(RecordStoreTest, CorruptLengthWordThrowsBeforeAllocating) {
+  std::vector<std::string> records;
+  for (size_t i = 0; i < 10; ++i) {
+    records.push_back("Domain Name: R" + std::to_string(i) + ".COM\n");
+  }
+  RecordStoreOptions options;
+  options.records_per_shard = 5;
+  // {record, value written over its length word}: too large (a reader
+  // that sizes its buffer from the length word first zeroes ~2 GiB), too
+  // small, and on each shard's last record, whose span ends at the index.
+  struct Corruption {
+    uint64_t record;
+    uint32_t length;
+  };
+  const uint32_t real = static_cast<uint32_t>(records[0].size());
+  const Corruption cases[] = {
+      {2, 0x7FFFFFF0u}, {2, real - 1}, {4, 0x7FFFFFF0u}, {9, real + 1}};
+  const long hwm_before = StatusKb("VmHWM");
+  ASSERT_GT(hwm_before, 0);
+  for (const Corruption& c : cases) {
+    SCOPED_TRACE(c.record);
+    const std::string prefix = TempPrefix("store_corrupt_len");
+    {
+      RecordStoreWriter writer(prefix, options);
+      for (const auto& r : records) writer.Append(r);
+      writer.Finish();
+    }
+    const size_t shard = c.record / options.records_per_shard;
+    uint64_t offset = 8;
+    for (uint64_t i = shard * options.records_per_shard; i < c.record; ++i) {
+      offset += 4 + records[i].size();
+    }
+    PatchU32(RecordStoreShardPath(prefix, shard), offset, c.length);
+
+    const RecordStoreReader reader(prefix);
+    EXPECT_THROW(reader.Get(c.record), std::runtime_error);
+    EXPECT_EQ(reader.Get(c.record ^ 1), records[c.record ^ 1]);
+    StoreRecordSource source(reader);
+    EXPECT_THROW(Drain(source), std::runtime_error);
+    StoreRecordSource skipped(reader);
+    ASSERT_EQ(skipped.Skip(c.record), c.record);
+    std::string record;
+    EXPECT_THROW(skipped.Next(record), std::runtime_error);
+    RemoveStore(prefix);
+  }
+  EXPECT_LT(StatusKb("VmHWM") - hwm_before, 64 * 1024);
+}
+
+TEST(RecordStoreTest, StreamingLargeStoreKeepsMappedFileRssFlat) {
+  const std::string prefix = TempPrefix("store_rss");
+  const uint64_t kBytes = uint64_t{33} << 20;
+  size_t count = 0;
+  {
+    RecordStoreWriter writer(prefix);
+    std::string r(4000, 'r');
+    for (uint64_t bytes = 0; bytes < kBytes; bytes += r.size()) {
+      r[count % r.size()] = 'R';
+      writer.Append(r);
+      ++count;
+    }
+    writer.Finish();
+  }
+  const long mapped_before = MappedFileKb();
+  ASSERT_GE(mapped_before, 0);
+  {
+    const RecordStoreReader reader(prefix);
+    StoreRecordSource source(reader);
+    EXPECT_EQ(Drain(source), count);
+    EXPECT_LT(MappedFileKb() - mapped_before, 2 * 1024);
+  }
+  RemoveStore(prefix);
+}
+
+TEST(RecordStreamTest, StreamingLargeTextFileKeepsMappedFileRssFlat) {
+  const std::string path = TempPrefix("text_rss") + ".txt";
+  std::string text;
+  size_t count = 0;
+  while (text.size() < (size_t{33} << 20)) {
+    text += "Domain Name: R" + std::to_string(count++) + ".COM\n";
+    text.append(2000, 'x');
+    text += "\n%%\n";
+  }
+  WriteFileBytes(path, text);
+  text.clear();
+  text.shrink_to_fit();
+  const long mapped_before = MappedFileKb();
+  ASSERT_GE(mapped_before, 0);
+  {
+    util::FileByteSource bytes(path);
+    TextRecordSource source(bytes);
+    EXPECT_EQ(Drain(source), count);
+    EXPECT_LT(MappedFileKb() - mapped_before, 2 * 1024);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(RecordStreamTest, TextFileTruncatedWhileReadingEndsEarly) {
+  const std::string path = TempPrefix("text_truncated") + ".txt";
+  std::string text;
+  size_t count = 0;
+  while (text.size() < 3 * util::kDefaultChunkBytes) {
+    text += "Domain Name: R" + std::to_string(count++) + ".COM\n";
+    text.append(500, 'x');
+    text += "\n%%\n";
+  }
+  WriteFileBytes(path, text);
+  util::FileByteSource bytes(path);
+  TextRecordSource source(bytes);
+  std::string record;
+  ASSERT_TRUE(source.Next(record));  // the first chunk is read
+  ASSERT_EQ(::truncate(path.c_str(), 100000), 0);
+  size_t read = 1;
+  try {
+    read += Drain(source);
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_LT(read, count);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
