@@ -14,6 +14,8 @@
 #include "util/string_util.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
+#include "whois/record_stream.h"
+#include "whois/stream_pipeline.h"
 
 namespace whoiscrf::bench {
 
@@ -150,10 +152,10 @@ std::string CachePath() {
                       SharedSurveyTrainCount(), SharedSurveyCount());
 }
 
-// Generates and parses the first `count` corpus domains in chunks on one
-// thread pool (ParseBatch for the parse) and folds one row per domain
-// into the accumulator. The domain and its DBL listing come from the
-// generator's facts. When the thick record names no registrar, the row
+// Generates the first `count` corpus domains in chunks on a thread pool,
+// streams each chunk through whois::ParseStream, and folds one row per
+// domain into the accumulator in input order. The domain and its DBL
+// listing come from the generator's facts. When the thick record names no registrar, the row
 // takes it from the thin registry record, which the crawl pipeline also
 // holds (§2.2).
 survey::SurveyAccumulator BuildSurvey(const datagen::CorpusGenerator& generator,
@@ -166,6 +168,8 @@ survey::SurveyAccumulator BuildSurvey(const datagen::CorpusGenerator& generator,
   survey::SurveyAccumulator acc(std::move(brands));
   const survey::SurveyNormalizer normalizer(generator.registrars());
   util::ThreadPool pool(0);
+  whois::StreamPipelineOptions options;
+  options.threads = pool.size();
   constexpr size_t kChunk = 1024;
   std::vector<datagen::DomainFacts> facts;
   std::vector<std::string> texts;
@@ -178,17 +182,18 @@ survey::SurveyAccumulator BuildSurvey(const datagen::CorpusGenerator& generator,
       facts[k] = std::move(domain.facts);
       texts[k] = std::move(domain.thick.text);
     });
-    const std::vector<whois::ParsedWhois> parsed =
-        parser.ParseBatch(texts, pool);
-    for (size_t k = 0; k < facts.size(); ++k) {
-      survey::DomainRow row = survey::RowFromParse(
-          facts[k].domain, parsed[k], normalizer, facts[k].on_dbl);
-      if (row.registrar.empty()) {
-        row.registrar =
-            normalizer.NormalizeRegistrar(facts[k].registrar_name);
-      }
-      acc.Add(row);
-    }
+    whois::VectorRecordSource source(texts);
+    whois::ParseStream(
+        parser, source, options,
+        [&](uint64_t k, const std::string&, const whois::ParsedWhois& parsed) {
+          survey::DomainRow row = survey::RowFromParse(
+              facts[k].domain, parsed, normalizer, facts[k].on_dbl);
+          if (row.registrar.empty()) {
+            row.registrar =
+                normalizer.NormalizeRegistrar(facts[k].registrar_name);
+          }
+          acc.Add(row);
+        });
   }
   return acc;
 }

@@ -22,7 +22,8 @@
 #include "bench_common.h"
 #include "obs/metrics.h"
 #include "util/env.h"
-#include "util/thread_pool.h"
+#include "whois/record_stream.h"
+#include "whois/stream_pipeline.h"
 #include "whois/whois_parser.h"
 
 namespace whoiscrf::bench {
@@ -147,14 +148,21 @@ int Main() {
     if (sweep_wide || n <= hw) thread_counts.push_back(n);
   }
   if (thread_counts.back() < hw) thread_counts.push_back(hw);
+  // Each thread-count row streams every slice through whois::ParseStream,
+  // the path `parse` and `scale-run` take. Sums run in input order, so
+  // they equal the naive checksums exactly.
   std::vector<Measurement> batch(thread_counts.size());
   for (size_t i = 0; i < thread_counts.size(); ++i) {
-    util::ThreadPool pool(thread_counts[i]);
+    whois::StreamPipelineOptions options;
+    options.threads = thread_counts[i];
     batch[i] = Measure(slices, [&](const auto& recs) {
       double sum = 0.0;
-      for (const auto& parsed : parser.ParseBatch(recs, pool)) {
-        sum += Checksum(parsed);
-      }
+      whois::VectorRecordSource source(recs);
+      whois::ParseStream(parser, source, options,
+                         [&](uint64_t, const std::string&,
+                             const whois::ParsedWhois& parsed) {
+                           sum += Checksum(parsed);
+                         });
       return sum;
     });
   }
@@ -173,7 +181,7 @@ int Main() {
               fast.records_per_sec, speedup);
   for (size_t i = 0; i < thread_counts.size(); ++i) {
     char label[40];
-    std::snprintf(label, sizeof(label), "batch x%zu%s", thread_counts[i],
+    std::snprintf(label, sizeof(label), "stream x%zu%s", thread_counts[i],
                   thread_counts[i] > hw ? " (oversubscribed)" : "");
     std::printf("%-22s %12.0f %9.2fx\n", label, batch[i].records_per_sec,
                 naive.records_per_sec > 0.0

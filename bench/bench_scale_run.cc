@@ -106,7 +106,7 @@ int Main() {
   survey::ScaleRunOptions options;
   options.count = count;
   // ~8 checkpoints per run so the kill lands well inside the stream.
-  options.checkpoint_interval =
+  options.parse.checkpoint_interval =
       std::max<uint64_t>(static_cast<uint64_t>(count) / 8, 16);
 
   // Phase 1: fresh end-to-end run.
@@ -137,7 +137,7 @@ int Main() {
   // then resume. Durable state must carry the run to the same bytes.
   options.store_prefix = resume_prefix;
   const uint64_t kill_at = static_cast<uint64_t>(count) / 2;
-  options.on_checkpoint = [&](const whois::StreamCheckpoint& cp) {
+  options.parse.on_checkpoint = [&](const whois::StreamCheckpoint& cp) {
     if (!cp.complete && cp.consumed >= kill_at) throw InjectedKill();
   };
   bool killed = false;
@@ -146,11 +146,11 @@ int Main() {
   } catch (const InjectedKill&) {
     killed = true;
   }
-  options.on_checkpoint = nullptr;
-  options.resume = true;
+  options.parse.on_checkpoint = nullptr;
+  options.parse.resume = true;
   const survey::ScaleRunResult resumed =
       survey::RunScaleRun(parser, generator, options);
-  options.resume = false;
+  options.parse.resume = false;
   const bool resume_matches =
       killed && resumed.skipped >= kill_at &&
       resumed.survey.Serialize() == fresh_survey &&

@@ -5,11 +5,11 @@
 // Writes BENCH_serve.json (override with WHOISCRF_BENCH_OUT).
 //
 // The scoreboard question: how much does serving cost on top of parsing?
-// Each scenario therefore also measures parser.ParseBatch over the same
-// records with the same thread count; `serve_vs_batch` near 1.0 on a cold
-// cache means the queue/promise/cache machinery is out of the way, and the
-// warm-cache rows show what the LRU buys when traffic repeats (real WHOIS
-// traffic re-queries popular domains constantly).
+// Each scenario therefore also streams the same records through
+// whois::ParseStream with the same thread count; `serve_vs_batch` near 1.0
+// on a cold cache means the queue/promise/cache machinery is out of the
+// way, and the warm-cache rows show what the LRU buys when traffic
+// repeats (real WHOIS traffic re-queries popular domains constantly).
 //
 // Every served body is compared against the offline
 // `whois::ToJson(parser.Parse(record))` bytes — the service's core
@@ -55,8 +55,9 @@
 #include "serve/router.h"
 #include "serve/server.h"
 #include "util/env.h"
-#include "util/thread_pool.h"
 #include "whois/json_export.h"
+#include "whois/record_stream.h"
+#include "whois/stream_pipeline.h"
 #include "whois/whois_parser.h"
 
 namespace whoiscrf::bench {
@@ -94,7 +95,7 @@ struct ScenarioResult {
   double rps = 0.0;        // best pass
   double p50_us = 0.0;     // of the best pass
   double p99_us = 0.0;
-  double batch_rps = 0.0;  // ParseBatch over the same records/threads
+  double batch_rps = 0.0;  // ParseStream over the same records/threads
   size_t mismatches = 0;   // served body != offline ToJson(Parse(record))
   size_t not_ok = 0;       // any non-kOk status (should be zero)
 };
@@ -694,11 +695,12 @@ int Main() {
       }
 
       // The apples-to-apples parse-only baseline: the same distinct
-      // records, parsed with ParseBatch on the same thread count (repeats
-      // excluded — the batch path has no cache, so cycling the pool would
-      // just re-parse).
+      // records, streamed through whois::ParseStream on the same thread
+      // count (repeats excluded — the pipeline has no cache, so cycling
+      // the pool would just re-parse).
       {
-        util::ThreadPool pool(threads);
+        whois::StreamPipelineOptions batch_options;
+        batch_options.threads = threads;
         const size_t distinct = std::max(
             size_t{1},
             static_cast<size_t>(static_cast<double>(request_count) *
@@ -706,10 +708,13 @@ int Main() {
         std::vector<std::string> batch_records(
             slices[0].begin(),
             slices[0].begin() + static_cast<ptrdiff_t>(distinct));
+        whois::VectorRecordSource source(batch_records);
         const auto start = Clock::now();
-        const auto parsed = parser.ParseBatch(batch_records, pool);
+        const whois::StreamPipelineStats stats = whois::ParseStream(
+            parser, source, batch_options,
+            [](uint64_t, const std::string&, const whois::ParsedWhois&) {});
         const double seconds = SecondsSince(start);
-        if (seconds > 0.0 && !parsed.empty()) {
+        if (seconds > 0.0 && stats.records > 0) {
           scenario.batch_rps = static_cast<double>(distinct) / seconds;
         }
       }

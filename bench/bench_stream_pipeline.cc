@@ -12,11 +12,13 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -27,7 +29,6 @@
 #include "util/chunk_reader.h"
 #include "util/env.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "whois/record_store.h"
 #include "whois/record_stream.h"
 #include "whois/stream_checkpoint.h"
@@ -162,9 +163,8 @@ int Main() {
   const auto train = TakeRecords(generator, 0, train_count);
   const whois::WhoisParser parser = TrainParser(train);
 
-  util::ThreadPool pool(0);  // hardware concurrency
-  whois::StreamPipelineOptions options;
-  options.threads = pool.size();  // equal thread count across modes
+  whois::StreamPipelineOptions options;  // every phase: hardware threads
+  options.threads = std::max(1u, std::thread::hardware_concurrency());
 
   const std::string tmp_prefix =
       util::Format("/tmp/whoiscrf_stream_bench_%d", static_cast<int>(getpid()));
@@ -274,19 +274,21 @@ int Main() {
     FinishPhase(store_ckpt, start);
   }
 
-  // In-memory batch over the large corpus, last: it hoists the high-water
-  // mark by the whole materialized corpus.
+  // In-memory batch over the large corpus, last: it materializes the
+  // whole corpus first (hoisting the high-water mark by its size) and then
+  // streams the vector through the same pipeline.
   PhaseResult inmem_large;
   {
     const auto start = Clock::now();
     const std::vector<std::string> records =
         whois::ReadAllRecords(large_path);
-    const std::vector<whois::ParsedWhois> parses =
-        parser.ParseBatch(records, pool);
-    for (const auto& parsed : parses) {
-      inmem_large.checksum += Checksum(parsed);
-    }
-    inmem_large.records = records.size();
+    whois::VectorRecordSource source(records);
+    whois::ParseStream(
+        parser, source, options,
+        [&](uint64_t, const std::string&, const whois::ParsedWhois& parsed) {
+          inmem_large.checksum += Checksum(parsed);
+          ++inmem_large.records;
+        });
     FinishPhase(inmem_large, start);
   }
 

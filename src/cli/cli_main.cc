@@ -37,9 +37,8 @@ void PrintUsage() {
                "[--min-count K]\n"
                "  parse   --model FILE [--in FILE] [--format "
                "json|rdap|fields|labels] [--threads N]\n"
-               "          [--stream] [--store-out PREFIX] [--resume]\n"
-               "          [--checkpoint-interval N] [--watchdog-ms MS]\n"
-               "          [--max-record-bytes N]\n"
+               "          [--watchdog-ms MS] [--store-out PREFIX [--resume]\n"
+               "          [--checkpoint-interval N] [--max-record-bytes N]]\n"
                "          [--cascade --cascade-data FILE "
                "[--shadow-rate R]]\n"
                "  adapt   --model FILE --data FILE --out FILE\n"

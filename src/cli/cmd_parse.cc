@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "text/line_splitter.h"
 #include "util/chunk_reader.h"
-#include "util/thread_pool.h"
 #include "whois/json_export.h"
 #include "whois/record_store.h"
 #include "whois/record_stream.h"
@@ -17,12 +16,6 @@
 #include "whois/whois_parser.h"
 
 namespace whoiscrf::cli {
-
-std::vector<std::string> ReadRawRecords(const std::string& path) {
-  // Framing (separator lines, trailing record, blank-record skipping) is
-  // owned by whois::RecordStreamReader; this wrapper only materializes.
-  return whois::ReadAllRecords(path);
-}
 
 namespace {
 
@@ -91,7 +84,6 @@ int CmdParse(util::FlagParser& flags) {
   const std::string format = flags.GetString("format", "fields");
   const size_t threads =
       static_cast<size_t>(flags.GetInt("threads", 0));  // 0 = hardware
-  const bool stream = flags.GetBool("stream");
   // --cascade: dispatch template -> rules -> CRF (docs/cascade.md), with
   // the cheap tiers built from the --cascade-data labeled corpus.
   const bool use_cascade = flags.GetBool("cascade");
@@ -122,6 +114,17 @@ int CmdParse(util::FlagParser& flags) {
     std::fprintf(stderr, "parse: unknown --format '%s'\n", format.c_str());
     return 2;
   }
+  // Checkpoints, resume and quarantine all live in the --store-out path;
+  // without it these flags would be read and silently ignored.
+  if (store_out.empty()) {
+    for (const char* flag : {"resume", "checkpoint-interval",
+                             "max-record-bytes"}) {
+      if (flags.Has(flag)) {
+        std::fprintf(stderr, "parse: --%s requires --store-out\n", flag);
+        return 2;
+      }
+    }
+  }
   if (use_cascade) {
     if (cascade_data.empty()) {
       std::fprintf(stderr, "parse: --cascade requires --cascade-data\n");
@@ -145,106 +148,59 @@ int CmdParse(util::FlagParser& flags) {
         cascade_options);
   }
 
-  if (stream) {
-    // Streaming mode: bounded-memory pipeline, output still in input
-    // order. The full corpus is never materialized.
-    std::unique_ptr<whois::RecordStoreReader> store_reader;
-    std::unique_ptr<util::ByteSource> bytes;
-    std::unique_ptr<whois::RecordSource> source;
-    std::string input_id;
-    if (!in_store.empty()) {
-      store_reader = std::make_unique<whois::RecordStoreReader>(in_store);
-      source = std::make_unique<whois::StoreRecordSource>(*store_reader);
-      input_id = "store:" + in_store;
-    } else {
-      bytes = in.empty()
-                  ? std::unique_ptr<util::ByteSource>(
-                        std::make_unique<util::StreamByteSource>(std::cin))
-                  : std::make_unique<util::FileByteSource>(in);
-      source = std::make_unique<whois::TextRecordSource>(*bytes);
-      input_id = in.empty() ? "stdin" : "file:" + in;
-    }
-    whois::StreamPipelineOptions options;
-    options.threads = threads;
-    options.watchdog_timeout_ms = watchdog_ms;
-    if (cascade_parser) {
-      options.parse_override = [&cascade = *cascade_parser](
-                                   const std::string& record,
-                                   whois::ParseWorkspace& ws) {
-        return cascade.ParseRecord(record, ws);
-      };
-    }
-    if (!store_out.empty()) {
-      // Crash-safe path: records land in a checkpointed store, poison
-      // records go to `<store_out>-quarantine`, and --resume continues an
-      // interrupted run from `<store_out>.ckpt`.
-      whois::CheckpointedParseOptions ckpt;
-      ckpt.pipeline = options;
-      ckpt.pipeline.max_record_bytes = max_record_bytes;
-      ckpt.checkpoint_interval = checkpoint_interval;
-      ckpt.resume = resume;
-      ckpt.input_id = input_id;
-      const whois::CheckpointedParseResult result = whois::ParseStreamToStore(
-          parser, *source, store_out, ckpt,
-          [&](uint64_t, const std::string& record,
-              const whois::ParsedWhois& parsed) {
-            PrintParsed(format, record, parsed);
-          });
-      std::fprintf(stderr,
-                   "parse: %llu records stored (%llu skipped via resume, "
-                   "%llu quarantined)\n",
-                   static_cast<unsigned long long>(result.records_stored),
-                   static_cast<unsigned long long>(result.skipped),
-                   static_cast<unsigned long long>(result.quarantined));
-      if (cascade_parser) PrintCascadeSummary(*cascade_parser);
-      return 0;
-    }
-    whois::ParseStream(parser, *source, options,
-                       [&](uint64_t, const std::string& record,
-                           const whois::ParsedWhois& parsed) {
-                         PrintParsed(format, record, parsed);
-                       });
-    if (cascade_parser) PrintCascadeSummary(*cascade_parser);
-    return 0;
-  }
-
-  // --store-out packs the raw records into a sharded binary store (in
-  // input order) alongside whatever gets printed.
-  std::unique_ptr<whois::RecordStoreWriter> store_writer;
-  if (!store_out.empty()) {
-    store_writer = std::make_unique<whois::RecordStoreWriter>(store_out);
-  }
-
-  // In-memory mode: parse the whole batch on the thread pool, then print
-  // in input order.
-  std::vector<std::string> records;
+  // Every corpus goes through the bounded-memory pipeline (never
+  // materialized), and output is printed in input order.
+  std::unique_ptr<whois::RecordStoreReader> store_reader;
+  std::unique_ptr<util::ByteSource> bytes;
+  std::unique_ptr<whois::RecordSource> source;
+  std::string input_id;
   if (!in_store.empty()) {
-    const whois::RecordStoreReader store_reader(in_store);
-    whois::StoreRecordSource source(store_reader);
-    std::string record;
-    while (source.Next(record)) records.push_back(std::move(record));
+    store_reader = std::make_unique<whois::RecordStoreReader>(in_store);
+    source = std::make_unique<whois::StoreRecordSource>(*store_reader);
+    input_id = "store:" + in_store;
   } else {
-    records = ReadRawRecords(in);
+    bytes = in.empty()
+                ? std::unique_ptr<util::ByteSource>(
+                      std::make_unique<util::StreamByteSource>(std::cin))
+                : std::make_unique<util::FileByteSource>(in);
+    source = std::make_unique<whois::TextRecordSource>(*bytes);
+    input_id = in.empty() ? "stdin" : "file:" + in;
   }
-  std::vector<whois::ParsedWhois> parses;
+  whois::StreamPipelineOptions options;
+  options.threads = threads;
+  options.watchdog_timeout_ms = watchdog_ms;
   if (cascade_parser) {
-    // Cascade in-memory mode: one workspace, records in order (the
-    // streaming path above is the parallel one).
-    whois::ParseWorkspace ws;
-    parses.reserve(records.size());
-    for (const std::string& record : records) {
-      parses.push_back(cascade_parser->ParseRecord(record, ws));
-    }
+    options.parse_override = [&cascade = *cascade_parser](
+                                 const std::string& record,
+                                 whois::ParseWorkspace& ws) {
+      return cascade.ParseRecord(record, ws);
+    };
+  }
+  const auto print = [&](uint64_t, const std::string& record,
+                         const whois::ParsedWhois& parsed) {
+    PrintParsed(format, record, parsed);
+  };
+  if (store_out.empty()) {
+    whois::ParseStream(parser, *source, options, print);
   } else {
-    util::ThreadPool pool(threads);
-    parses = parser.ParseBatch(records, pool);
+    // Crash-safe path: records land in a checkpointed store, poison
+    // records go to `<store_out>-quarantine`, and --resume continues an
+    // interrupted run from `<store_out>.ckpt`.
+    whois::CheckpointedParseOptions ckpt;
+    ckpt.pipeline = options;
+    ckpt.pipeline.max_record_bytes = max_record_bytes;
+    ckpt.checkpoint_interval = checkpoint_interval;
+    ckpt.resume = resume;
+    ckpt.input_id = input_id;
+    const whois::CheckpointedParseResult result =
+        whois::ParseStreamToStore(parser, *source, store_out, ckpt, print);
+    std::fprintf(stderr,
+                 "parse: %llu records stored (%llu skipped via resume, "
+                 "%llu quarantined)\n",
+                 static_cast<unsigned long long>(result.records_stored),
+                 static_cast<unsigned long long>(result.skipped),
+                 static_cast<unsigned long long>(result.quarantined));
   }
-
-  for (size_t r = 0; r < records.size(); ++r) {
-    if (store_writer) store_writer->Append(records[r]);
-    PrintParsed(format, records[r], parses[r]);
-  }
-  if (store_writer) store_writer->Finish();
   if (cascade_parser) PrintCascadeSummary(*cascade_parser);
   return 0;
 }

@@ -206,31 +206,32 @@ int CmdScaleRun(util::FlagParser& flags) {
   survey::ScaleRunOptions options;
   options.store_prefix = out;
   options.count = count;
-  options.threads = threads;
-  options.checkpoint_interval = checkpoint_interval;
-  options.max_record_bytes = max_record_bytes;
-  options.watchdog_timeout_ms = watchdog_ms;
-  options.resume = resume;
+  options.parse.pipeline.threads = threads;
+  options.parse.pipeline.max_record_bytes = max_record_bytes;
+  options.parse.pipeline.watchdog_timeout_ms = watchdog_ms;
+  options.parse.checkpoint_interval = checkpoint_interval;
+  options.parse.resume = resume;
   options.brands = brands;
   options.input_tag = util::Format(":train=%zu:cascade=%d", train_count,
                                    use_cascade ? 1 : 0);
   if (cascade_parser) {
-    options.parse_override = [&cascade = *cascade_parser](
-                                 const std::string& record,
-                                 whois::ParseWorkspace& ws) {
-      return cascade.ParseRecord(record, ws);
-    };
+    options.parse.pipeline.parse_override =
+        [&cascade = *cascade_parser](const std::string& record,
+                                     whois::ParseWorkspace& ws) {
+          return cascade.ParseRecord(record, ws);
+        };
   }
   if (journal) {
     // One journal line per durable checkpoint: the crawl-journal is the
     // run's progress log, replayable with `whoiscrf crawl --resume`
     // tooling conventions (docs/formats.md "Crawl journal").
-    options.on_checkpoint = [&journal](const whois::StreamCheckpoint& cp) {
-      journal->RecordDomain(
-          util::Format("scale:%llu",
-                       static_cast<unsigned long long>(cp.consumed)),
-          net::CrawlResult::Status::kOk, 1);
-    };
+    options.parse.on_checkpoint =
+        [&journal](const whois::StreamCheckpoint& cp) {
+          journal->RecordDomain(
+              util::Format("scale:%llu",
+                           static_cast<unsigned long long>(cp.consumed)),
+              net::CrawlResult::Status::kOk, 1);
+        };
   }
 
   const survey::ScaleRunResult result =

@@ -2,6 +2,7 @@
 
 #include "cli/commands.h"
 #include "whois/active_learning.h"
+#include "whois/record_stream.h"
 #include "whois/whois_parser.h"
 
 namespace whoiscrf::cli {
@@ -16,7 +17,7 @@ int CmdSelect(util::FlagParser& flags) {
   }
 
   const whois::WhoisParser parser = whois::WhoisParser::LoadFile(model_path);
-  const auto pool = ReadRawRecords(in);
+  const auto pool = whois::ReadAllRecords(in);
   const auto selected = whois::SelectForLabeling(parser, pool, k);
 
   std::printf("%zu records in pool; %zu selected for labeling "

@@ -28,16 +28,19 @@ int CmdTrain(util::FlagParser& flags);
 
 // whoiscrf parse   --model FILE [--in FILE | --in-store PREFIX]
 //                  [--format json|rdap|fields|labels] [--threads N]
-//                  [--stream] [--store-out PREFIX]
+//                  [--watchdog-ms MS] [--store-out PREFIX [--resume]
+//                   [--checkpoint-interval N] [--max-record-bytes N]]
 //                  [--cascade --cascade-data FILE [--shadow-rate R]
 //                   [--rule-coverage-min X] [--rule-max-unknown N]]
 // Parses raw records (from --in or stdin; multiple records separated by a
 // line containing only "%%"; --in-store reads a sharded binary record
-// store instead) and prints structured output. --stream runs the
-// bounded-memory pipeline (docs/architecture.md "Streaming pipeline") so
-// corpora larger than RAM parse without being materialized; --store-out
-// additionally packs the raw records into a sharded binary store;
-// --cascade dispatches through the template -> rules -> CRF cascade
+// store instead) through the bounded-memory pipeline (docs/architecture.md
+// "Streaming pipeline"), so corpora larger than RAM parse without being
+// materialized, and prints structured output in input order. --store-out
+// also packs the raw records into a checkpointed sharded store with a
+// quarantine for poison records (the crash-safe path; --resume,
+// --checkpoint-interval and --max-record-bytes require it); --cascade
+// dispatches through the template -> rules -> CRF cascade
 // (docs/cascade.md). Run `whoiscrf parse --help` for the full flag table.
 int CmdParse(util::FlagParser& flags);
 
@@ -111,11 +114,5 @@ int CmdScaleRun(util::FlagParser& flags);
 // checkpointed parse pipeline or the failed-candidate store of the model
 // lifecycle (docs/lifecycle.md "Fail-closed quarantine").
 int CmdQuarantine(util::FlagParser& flags);
-
-// Reads raw records from a file or stdin ("" = stdin): records are
-// separated by lines containing only "%%"; a file with no separator is one
-// record. Shared by parse/select; framing is delegated to
-// whois::RecordStreamReader so it cannot drift from the streaming paths.
-std::vector<std::string> ReadRawRecords(const std::string& path);
 
 }  // namespace whoiscrf::cli

@@ -53,26 +53,29 @@ flags:
 constexpr const char* kParseHelp = R"HELP(usage: whoiscrf parse --model FILE [flags]
 
 Parse raw WHOIS records (from --in, --in-store, or stdin; multiple records
-separated by a line containing only "%%") and print structured output.
+separated by a line containing only "%%") through the bounded-memory
+pipeline (the corpus is never materialized; docs/architecture.md) and print
+structured output in input order.
 
 flags:
   --model FILE           trained model (required)
   --in FILE              raw records file ("" or omitted = stdin)
   --in-store PREFIX      read a sharded binary record store instead
-  --store-out PREFIX     also pack raw records into a sharded binary store;
-                         with --stream this is the crash-safe checkpointed
-                         path (quarantine + resume)
+  --store-out PREFIX     also pack raw records into a checkpointed sharded
+                         binary store: the crash-safe path (quarantine +
+                         resume)
   --format FMT           json | rdap | fields | labels (default fields)
   --threads N            worker threads (default 0 = hardware)
-  --stream               bounded-memory pipeline; corpus is never
-                         materialized (docs/architecture.md)
-  --resume               with --stream --store-out: continue an interrupted
-                         run from the checkpoint
+  --watchdog-ms MS       pipeline stall watchdog: if no batch moves for MS,
+                         cancel the run and exit 1 naming the suspect stage
+                         (default 0 = off)
+  --resume               with --store-out: continue an interrupted run from
+                         the checkpoint
   --checkpoint-interval N
-                         records between checkpoints (default 4096)
-  --watchdog-ms MS       per-record parse watchdog; hung records are
-                         quarantined (default 0 = off)
-  --max-record-bytes N   oversized records are quarantined (default 0 = off)
+                         with --store-out: records between checkpoints
+                         (default 4096)
+  --max-record-bytes N   with --store-out: quarantine records larger than N
+                         bytes (default 0 = off)
   --cascade              dispatch through the parser cascade
                          (template -> rules -> CRF; docs/cascade.md)
   --cascade-data FILE    labeled records the cascade's template and rule
@@ -252,7 +255,9 @@ flags:
   --tables-out FILE      write the survey tables here instead of stdout
   --bench-out FILE       write the BENCH_scale_run.json artifact
   --journal FILE         append one crawl-journal line per checkpoint
-  --watchdog-ms MS       per-batch parse watchdog (default 0 = off)
+  --watchdog-ms MS       pipeline stall watchdog: if no batch moves for MS,
+                         cancel the run and exit 1 naming the suspect stage
+                         (default 0 = off)
   --max-record-bytes N   quarantine records larger than N bytes
 )HELP";
 

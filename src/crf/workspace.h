@@ -8,8 +8,8 @@
 // so capacity is reused and, once the buffers have grown to the largest
 // record seen, inference runs with zero heap allocations.
 //
-// A Workspace is NOT thread-safe: use one per thread (see
-// WhoisParser::ParseBatch). It is model-agnostic — the same workspace can
+// A Workspace is NOT thread-safe: use one per thread (each
+// whois::ParseStream worker owns one). It is model-agnostic — the same workspace can
 // be reused across models with different L or vocabulary (buffers are
 // always resized by the callee).
 #pragma once

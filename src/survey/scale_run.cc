@@ -124,15 +124,7 @@ ScaleRunResult RunScaleRun(const whois::WhoisParser& parser,
       options.count,
       [&generator](uint64_t i) { return generator.Generate(i).thick.text; });
 
-  whois::CheckpointedParseOptions ckpt;
-  ckpt.pipeline.threads = options.threads;
-  ckpt.pipeline.batch_records = options.batch_records;
-  ckpt.pipeline.queue_capacity = options.queue_capacity;
-  ckpt.pipeline.max_record_bytes = options.max_record_bytes;
-  ckpt.pipeline.watchdog_timeout_ms = options.watchdog_timeout_ms;
-  ckpt.pipeline.parse_override = options.parse_override;
-  ckpt.checkpoint_interval = options.checkpoint_interval;
-  ckpt.resume = options.resume;
+  whois::CheckpointedParseOptions ckpt = options.parse;
   ckpt.input_id = ScaleRunInputId(generator, options);
   // The accumulator snapshot rides inside the checkpoint, so the survey
   // state a resume restores always matches the consumed cursor exactly —
@@ -145,7 +137,6 @@ ScaleRunResult RunScaleRun(const whois::WhoisParser& parser,
       result.survey = SurveyAccumulator(options.brands);
     }
   };
-  ckpt.on_checkpoint = options.on_checkpoint;
 
   const auto start = std::chrono::steady_clock::now();
   const whois::CheckpointedParseResult parse = whois::ParseStreamToStore(

@@ -16,7 +16,7 @@
 //
 // The cascade stays out of this library: callers that want tiered
 // dispatch (the CLI's `scale-run --cascade`) pass a parse_override, the
-// same seam `parse --stream --cascade` uses.
+// same seam `parse --cascade` uses.
 #pragma once
 
 #include <cstdint>
@@ -32,28 +32,23 @@
 namespace whoiscrf::survey {
 
 struct ScaleRunOptions {
+  // Scale runs favor a larger checkpoint interval than `parse
+  // --store-out`'s 4096: at millions of records per run, fsync cadence
+  // dominates checkpoint cost.
+  ScaleRunOptions() { parse.checkpoint_interval = 65536; }
+
   std::string store_prefix;  // required: record store + checkpoint prefix
   uint64_t count = 1000000;  // records to stream (corpus positions 0..N)
-  size_t threads = 0;        // parse workers; 0 = hardware concurrency
-  size_t batch_records = 64;
-  size_t queue_capacity = 8;
-  // Scale runs favor a larger interval than parse --stream's 4096: at
-  // millions of records per run, fsync cadence dominates checkpoint cost.
-  uint64_t checkpoint_interval = 65536;
-  uint64_t max_record_bytes = 0;
-  uint64_t watchdog_timeout_ms = 0;
-  bool resume = false;
   std::vector<std::string> brands;  // Table 4 orgs to track (may be empty)
   // Appended to the computed checkpoint input id. Callers fold anything
   // that changes parse results (training size, cascade on/off) in here so
   // a checkpoint cannot resume under a different parser configuration.
   std::string input_tag;
-  // Optional tiered dispatch (see header comment).
-  std::function<whois::ParsedWhois(const std::string& record,
-                                   whois::ParseWorkspace& ws)>
-      parse_override;
-  // Observes every durable checkpoint (e.g. to journal run progress).
-  std::function<void(const whois::StreamCheckpoint& cp)> on_checkpoint;
+  // The checkpointed pipeline the run streams through: worker threads,
+  // record-size limit, watchdog, tiered dispatch (parse_override; see
+  // header comment), checkpoint interval, resume and on_checkpoint.
+  // RunScaleRun sets input_id, save_aux and load_aux itself.
+  whois::CheckpointedParseOptions parse;
 };
 
 struct ScaleRunResult {

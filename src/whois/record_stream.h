@@ -1,6 +1,6 @@
 // Incremental scanner for %%-delimited WHOIS record files — the single
 // framing authority for the repo (docs/formats.md "Raw-record pool
-// format"). cli::ReadRawRecords, the training-data loader, and the
+// format"). ReadAllRecords (`select`), the training-data loader, and the
 // streaming parse pipeline all delegate here, so framing semantics cannot
 // drift between them.
 //
@@ -96,7 +96,7 @@ class TextRecordSource : public RecordSource {
   StreamedRecord scratch_;
 };
 
-// RecordSource over an in-memory list (the batch paths and tests).
+// RecordSource over an in-memory list (benches and tests).
 class VectorRecordSource : public RecordSource {
  public:
   explicit VectorRecordSource(const std::vector<std::string>& records)

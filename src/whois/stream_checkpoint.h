@@ -1,4 +1,4 @@
-// Durable checkpoint/resume for `parse --stream --store-out`: the glue
+// Durable checkpoint/resume for `parse --store-out`: the glue
 // between ParseStream (in-order sink), RecordStoreWriter (durable store
 // cursors), and util::AtomicWriteFile (atomic snapshots).
 //

@@ -82,9 +82,9 @@ struct StreamPipelineOptions {
   uint64_t watchdog_timeout_ms = 0;
   // Replaces parser.Parse for each record (workspace supplied per worker
   // thread). This is how the parser cascade (src/cascade/) plugs into the
-  // streaming path — `parse --stream --cascade` routes every record
-  // through CascadeParser::ParseRecord; tests also use it to inject
-  // deterministic parses. The callable must be safe to invoke concurrently
+  // streaming path — `parse --cascade` routes every record through
+  // CascadeParser::ParseRecord; tests also use it to inject deterministic
+  // parses. The callable must be safe to invoke concurrently
   // with distinct workspaces. Unset = plain parser.Parse.
   std::function<ParsedWhois(const std::string& record, ParseWorkspace& ws)>
       parse_override = nullptr;

@@ -15,7 +15,6 @@
 #include "util/byte_scan.h"
 #include "util/key_hash.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace whoiscrf::whois {
 
@@ -1115,20 +1114,6 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
   metrics_.cache_misses->Inc(T - cache_hits);
   metrics_.latency_us->Observe(
       static_cast<double>(obs::MonotonicMicros() - start_us));
-  return out;
-}
-
-std::vector<ParsedWhois> WhoisParser::ParseBatch(
-    std::span<const std::string> records, util::ThreadPool& pool) const {
-  obs::ScopedSpan span("whois.parse_batch");
-  std::vector<ParsedWhois> out(records.size());
-  if (records.empty()) return out;
-  // Chunks run on pool threads, so Parse(record) reuses each thread's
-  // warm workspace across calls.
-  pool.ParallelChunks(records.size(), [&](size_t begin, size_t end, size_t) {
-    obs::ScopedSpan chunk_span("whois.parse_chunk");
-    for (size_t r = begin; r < end; ++r) out[r] = Parse(records[r]);
-  });
   return out;
 }
 

@@ -21,7 +21,6 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,10 +32,6 @@
 #include "text/tokenizer.h"
 #include "whois/record.h"
 #include "whois/training_data.h"
-
-namespace whoiscrf::util {
-class ThreadPool;
-}  // namespace whoiscrf::util
 
 namespace whoiscrf::obs {
 class Counter;
@@ -321,13 +316,6 @@ class WhoisParser {
   // measures the fast path's speedup against it, and tests assert
   // equivalence.
   ParsedWhois ParseNaive(std::string_view record_text) const;
-
-  // Parses many records on a thread pool through each pool thread's
-  // thread-local workspace (the one Parse(record) uses), so a pool that
-  // parses batch after batch keeps its caches warm. Results are in input
-  // order and identical to calling Parse on each.
-  std::vector<ParsedWhois> ParseBatch(std::span<const std::string> records,
-                                      util::ThreadPool& pool) const;
 
   // Level-1 labels only (used by the evaluation harness).
   std::vector<Level1Label> LabelLines(std::string_view record_text) const;

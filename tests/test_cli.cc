@@ -1,19 +1,36 @@
-// CLI layer: flag parsing, raw-record splitting, per-command help, and
-// command round trips through temporary files.
+// CLI layer: flag parsing, raw-record splitting, per-command help,
+// command round trips through temporary files, and `parse`'s one pipeline
+// path (flags that need --store-out, the watchdog, byte-identical output
+// across threads, --store-out and the cascade).
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cascade/cascade.h"
 #include "cli/commands.h"
 #include "cli/help.h"
 #include "net/crawl_journal.h"
+#include "obs/metrics.h"
 #include "util/checkpoint.h"
 #include "util/flags.h"
+#include "whois/json_export.h"
 #include "whois/record_store.h"
+#include "whois/record_stream.h"
 #include "whois/stream_checkpoint.h"
+#include "whois/stream_pipeline.h"
 #include "whois/training_data.h"
+#include "whois/whois_parser.h"
 
 namespace whoiscrf {
 namespace {
@@ -72,32 +89,32 @@ TEST(FlagParserTest, BooleanFalseValues) {
   EXPECT_TRUE(flags.GetBool("c"));
 }
 
-TEST(ReadRawRecordsTest, SplitsOnSeparatorLines) {
+TEST(ReadAllRecordsTest, SplitsOnSeparatorLines) {
   const std::string path = ::testing::TempDir() + "/raw_records.txt";
   {
     std::ofstream os(path);
     os << "Domain Name: A.COM\nRegistrar: X\n%%\n"
        << "Domain Name: B.COM\n%%\n";
   }
-  const auto records = cli::ReadRawRecords(path);
+  const auto records = whois::ReadAllRecords(path);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_NE(records[0].find("A.COM"), std::string::npos);
   EXPECT_NE(records[1].find("B.COM"), std::string::npos);
   EXPECT_EQ(records[1].find("A.COM"), std::string::npos);
 }
 
-TEST(ReadRawRecordsTest, SingleRecordWithoutSeparator) {
+TEST(ReadAllRecordsTest, SingleRecordWithoutSeparator) {
   const std::string path = ::testing::TempDir() + "/raw_single.txt";
   {
     std::ofstream os(path);
     os << "Domain Name: ONLY.COM\n";
   }
-  const auto records = cli::ReadRawRecords(path);
+  const auto records = whois::ReadAllRecords(path);
   ASSERT_EQ(records.size(), 1u);
 }
 
-TEST(ReadRawRecordsTest, MissingFileThrows) {
-  EXPECT_THROW(cli::ReadRawRecords("/nonexistent/raw.txt"),
+TEST(ReadAllRecordsTest, MissingFileThrows) {
+  EXPECT_THROW(whois::ReadAllRecords("/nonexistent/raw.txt"),
                std::runtime_error);
 }
 
@@ -224,7 +241,7 @@ TEST(CliCommandsTest, StreamStoreQuarantinesAndResumesIdempotently) {
   }
   {
     auto flags = Parse({"--model", model_path.c_str(), "--in",
-                        raw_path.c_str(), "--stream", "--store-out",
+                        raw_path.c_str(), "--store-out",
                         store_prefix.c_str(), "--max-record-bytes", "4096",
                         "--checkpoint-interval", "2"});
     ASSERT_EQ(cli::CmdParse(flags), 0);
@@ -255,7 +272,7 @@ TEST(CliCommandsTest, StreamStoreQuarantinesAndResumesIdempotently) {
       whois::RecordStoreShardPath(store_prefix, 0), shard_before));
   {
     auto flags = Parse({"--model", model_path.c_str(), "--in",
-                        raw_path.c_str(), "--stream", "--store-out",
+                        raw_path.c_str(), "--store-out",
                         store_prefix.c_str(), "--max-record-bytes", "4096",
                         "--checkpoint-interval", "2", "--resume"});
     ASSERT_EQ(cli::CmdParse(flags), 0);
@@ -329,17 +346,228 @@ TEST(CliCommandsTest, CascadeParseRoundTrip) {
     EXPECT_NE(out.find("domain:"), std::string::npos);
   }
   {
-    // The streaming path takes the same flags.
+    // The checkpointed --store-out path takes the same flags.
+    const std::string store_prefix = dir + "/cli_cascade_store";
     auto flags = Parse({"--model", model_path.c_str(), "--in",
-                        raw_path.c_str(), "--stream", "--cascade",
-                        "--cascade-data", train_path.c_str(), "--format",
-                        "fields"});
+                        raw_path.c_str(), "--store-out",
+                        store_prefix.c_str(), "--cascade", "--cascade-data",
+                        train_path.c_str(), "--format", "fields"});
     ::testing::internal::CaptureStdout();
     ASSERT_EQ(cli::CmdParse(flags), 0);
     const std::string out = ::testing::internal::GetCapturedStdout();
     EXPECT_TRUE(flags.UnconsumedFlags().empty());
     EXPECT_NE(out.find("domain:"), std::string::npos);
+    std::remove(whois::RecordStoreShardPath(store_prefix, 0).c_str());
+    std::remove(whois::StreamCheckpointPath(store_prefix).c_str());
   }
+}
+
+// A small model trained once per test process through `gen` + `train`;
+// its labeled training corpus doubles as --cascade-data. Paths are
+// per-process (ctest runs each test in its own process, often several at
+// once), and the files are removed at exit.
+struct TrainedModel {
+  TrainedModel()
+      : data(::testing::TempDir() + "/cli_shared_" +
+             std::to_string(::getpid()) + "_train.txt"),
+        model(::testing::TempDir() + "/cli_shared_" +
+              std::to_string(::getpid()) + ".model") {
+    auto gen = Parse({"--out", data.c_str(), "--count", "60", "--seed",
+                      "21"});
+    auto train = Parse({"--data", data.c_str(), "--model", model.c_str(),
+                        "--iterations", "60"});
+    if (cli::CmdGen(gen) != 0 || cli::CmdTrain(train) != 0) {
+      throw std::runtime_error("cannot train the shared CLI test model");
+    }
+  }
+  ~TrainedModel() {
+    std::remove(data.c_str());
+    std::remove(model.c_str());
+  }
+  TrainedModel(const TrainedModel&) = delete;
+  TrainedModel& operator=(const TrainedModel&) = delete;
+  std::string data;
+  std::string model;
+};
+
+const TrainedModel& SharedModel() {
+  static const TrainedModel trained;
+  return trained;
+}
+
+// Writes `records` %%-framed to `path`.
+void WriteRawRecords(const std::string& path,
+                     const std::vector<std::string>& records) {
+  std::ofstream os(path);
+  for (const std::string& record : records) os << record << "%%\n";
+}
+
+// Runs `parse` with `args` and returns its stdout; `code` gets the exit
+// code.
+std::string RunParse(std::vector<const char*> args, int* code) {
+  auto flags = Parse(std::move(args));
+  ::testing::internal::CaptureStdout();
+  *code = cli::CmdParse(flags);
+  return ::testing::internal::GetCapturedStdout();
+}
+
+// --resume, --checkpoint-interval and --max-record-bytes only mean
+// something on the checkpointed --store-out path; without it they are
+// rejected rather than silently ignored.
+void ExpectRequiresStoreOut(std::vector<const char*> extra) {
+  const TrainedModel& trained = SharedModel();
+  const std::string raw_path = ::testing::TempDir() + "/cli_store_only_" +
+                               std::to_string(::getpid()) + ".txt";
+  WriteRawRecords(raw_path, {"Domain Name: A.COM\nRegistrar: One\n",
+                             "Domain Name: HUGE.COM\n" +
+                                 std::string(9000, 'x') + "\n"});
+  std::vector<const char*> args = {"--model", trained.model.c_str(), "--in",
+                                   raw_path.c_str(), "--format", "json"};
+  args.insert(args.end(), extra.begin(), extra.end());
+  int code = -1;
+  const std::string out = RunParse(args, &code);
+  EXPECT_EQ(code, 2);
+  EXPECT_EQ(out, "");  // nothing parsed
+  std::remove(raw_path.c_str());
+}
+
+TEST(CliCommandsTest, ParseMaxRecordBytesRequiresStoreOut) {
+  ExpectRequiresStoreOut({"--max-record-bytes", "4096"});
+}
+
+TEST(CliCommandsTest, ParseResumeRequiresStoreOut) {
+  ExpectRequiresStoreOut({"--resume"});
+}
+
+TEST(CliCommandsTest, ParseCheckpointIntervalRequiresStoreOut) {
+  ExpectRequiresStoreOut({"--checkpoint-interval", "2"});
+}
+
+TEST(CliCommandsTest, ParseWatchdogCancelsStalledRunWithoutStoreOut) {
+  // The input is a FIFO whose only writer never writes: the reader stalls
+  // on its first read, the watchdog trips and cancels the run, and the
+  // writer then closes so the stalled read returns and the run can unwind.
+  const TrainedModel& trained = SharedModel();
+  const std::string fifo_path = ::testing::TempDir() + "/cli_watchdog.fifo";
+  std::remove(fifo_path.c_str());
+  ASSERT_EQ(::mkfifo(fifo_path.c_str(), 0600), 0);
+  // O_RDWR opens a FIFO without waiting for a reader, and keeps a writer
+  // attached so parse's own open does not block either.
+  const int writer = ::open(fifo_path.c_str(), O_RDWR | O_CLOEXEC);
+  ASSERT_GE(writer, 0);
+  const auto trips = [] {
+    return obs::Registry::Global().CounterValue(
+        "whoiscrf_stream_watchdog_trips_total");
+  };
+  const uint64_t trips_before = trips();
+  std::thread closer([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (trips() == trips_before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ::close(writer);
+  });
+  auto flags = Parse({"--model", trained.model.c_str(), "--in",
+                      fifo_path.c_str(), "--watchdog-ms", "100"});
+  std::string what;
+  try {
+    cli::CmdParse(flags);
+  } catch (const whois::StreamStallError& e) {
+    what = e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "unexpected exception: " << e.what();
+  }
+  closer.join();
+  std::remove(fifo_path.c_str());
+  EXPECT_EQ(trips(), trips_before + 1);
+  EXPECT_NE(what.find("reader"), std::string::npos) << what;
+}
+
+TEST(CliCommandsTest, ParseOutputIdenticalAcrossThreadsStoreAndCascade) {
+  // One corpus-parse path: json and fields output, at 1 and 4 threads,
+  // with and without --store-out, must be byte-identical, and json must
+  // equal the sequential parse. The cascade (shadow-sampling every
+  // cheap-tier record) must agree with its own sequential run the same
+  // way; it differs from the CRF on some records.
+  const TrainedModel& trained = SharedModel();
+  const std::string dir = ::testing::TempDir();
+  const std::string drifted_path = dir + "/cli_bytes_drifted.txt";
+  const std::string raw_path = dir + "/cli_bytes_raw.txt";
+  {
+    auto flags = Parse({"--out", drifted_path.c_str(), "--count", "40",
+                        "--seed", "5", "--drift", "0.6"});
+    ASSERT_EQ(cli::CmdGen(flags), 0);
+  }
+  {
+    std::vector<std::string> texts;
+    for (const auto& record : whois::ReadLabeledRecordsFile(drifted_path)) {
+      texts.push_back(record.text);
+    }
+    WriteRawRecords(raw_path, texts);
+  }
+  // Sequential references for json: the CRF, and the cascade on one
+  // workspace (what the parse command did before it streamed).
+  std::string expected_json;
+  std::string expected_cascade_json;
+  {
+    const whois::WhoisParser parser =
+        whois::WhoisParser::LoadFile(trained.model);
+    cascade::CascadeOptions options;
+    options.shadow_sample_rate = 1.0;
+    const cascade::CascadeParser cascade_parser(
+        &parser, whois::ReadLabeledRecordsFile(trained.data), options);
+    whois::ParseWorkspace ws;
+    for (const std::string& record : whois::ReadAllRecords(raw_path)) {
+      expected_json += whois::ToJson(parser.Parse(record, ws)) + "\n";
+      expected_cascade_json +=
+          whois::ToJson(cascade_parser.ParseRecord(record, ws)) + "\n";
+    }
+  }
+  ASSERT_NE(expected_json, expected_cascade_json);
+
+  for (const char* format : {"json", "fields"}) {
+    for (const bool cascade : {false, true}) {
+      std::string reference;
+      for (const char* threads : {"1", "4"}) {
+        for (const bool store : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << format << (cascade ? " cascade" : "") << " threads "
+                       << threads << (store ? " --store-out" : ""));
+          const std::string store_prefix =
+              dir + "/cli_bytes_store_" + threads;
+          std::vector<const char*> args = {
+              "--model", trained.model.c_str(), "--in", raw_path.c_str(),
+              "--format", format, "--threads", threads};
+          if (store) {
+            args.insert(args.end(), {"--store-out", store_prefix.c_str()});
+          }
+          if (cascade) {
+            args.insert(args.end(),
+                        {"--cascade", "--cascade-data", trained.data.c_str(),
+                         "--shadow-rate", "1.0"});
+          }
+          int code = -1;
+          const std::string out = RunParse(args, &code);
+          ASSERT_EQ(code, 0);
+          ASSERT_FALSE(out.empty());
+          if (reference.empty()) reference = out;
+          EXPECT_EQ(out, reference);
+          if (std::string(format) == "json") {
+            EXPECT_EQ(out, cascade ? expected_cascade_json : expected_json);
+          }
+        }
+      }
+    }
+  }
+  for (const char* threads : {"1", "4"}) {
+    const std::string store_prefix = dir + "/cli_bytes_store_" + threads;
+    std::remove(whois::RecordStoreShardPath(store_prefix, 0).c_str());
+    std::remove(whois::StreamCheckpointPath(store_prefix).c_str());
+  }
+  std::remove(drifted_path.c_str());
+  std::remove(raw_path.c_str());
 }
 
 TEST(CliCommandsTest, CrawlJournalResumeSkipsCompletedDomains) {

@@ -22,6 +22,8 @@
 #include "text/line_splitter.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
+#include "whois/record_stream.h"
+#include "whois/stream_pipeline.h"
 #include "whois/whois_parser.h"
 
 namespace whoiscrf::crf {
@@ -653,7 +655,7 @@ TEST(PathLogProbTest, EveryTaggerPathReportsTheSameDouble) {
 
 TEST(PathLogProbTest, WhoisParsePathsAgreeOnDriftedCorpus) {
   // Train on the pre-drift era, parse records from every era: Parse,
-  // ParseBatch and ParseNaive, and the level-1 tagger entry points on the
+  // ParseStream and ParseNaive, and the level-1 tagger entry points on the
   // same lines, must report one double, within 1e-13 of the reference.
   datagen::TemporalCorpusOptions options;
   options.size = 600;
@@ -667,8 +669,16 @@ TEST(PathLogProbTest, WhoisParsePathsAgreeOnDriftedCorpus) {
   for (size_t i = 100; i < options.size; i += 5) {
     records.push_back(generator.Generate(i).thick.text);
   }
-  util::ThreadPool pool(2);
-  const std::vector<whois::ParsedWhois> batch = parser.ParseBatch(records, pool);
+  std::vector<double> streamed;
+  whois::StreamPipelineOptions stream_options;
+  stream_options.threads = 2;
+  whois::VectorRecordSource source(records);
+  whois::ParseStream(parser, source, stream_options,
+                     [&](uint64_t, const std::string&,
+                         const whois::ParsedWhois& parsed) {
+                       streamed.push_back(parsed.log_prob);
+                     });
+  ASSERT_EQ(streamed.size(), records.size());
   const text::Tokenizer tokenizer(parser.options().tokenizer);
   const CrfModel& level1 = parser.level1_model();
   const Tagger tagger(level1);
@@ -676,7 +686,7 @@ TEST(PathLogProbTest, WhoisParsePathsAgreeOnDriftedCorpus) {
   Workspace ws;
   for (size_t r = 0; r < records.size(); ++r) {
     const double fast = parser.Parse(records[r], pws).log_prob;
-    EXPECT_EQ(batch[r].log_prob, fast) << r;
+    EXPECT_EQ(streamed[r], fast) << r;
     EXPECT_EQ(parser.ParseNaive(records[r]).log_prob, fast) << r;
 
     const std::vector<text::Line> lines = text::SplitRecord(records[r]);

@@ -1,8 +1,9 @@
-// Batch parsing engine: fused tokenize+compile equivalence, fast-vs-naive
-// Parse equivalence, ParseBatch-vs-sequential equivalence across thread
-// counts, warm ParseBatch workspaces, cache admission and collisions, the
-// title and transition-block memos, the bounded route-plan memo, parser
-// options round-trip, and legacy model-stream loading.
+// Parsing engine: fused tokenize+compile equivalence, fast-vs-naive Parse
+// equivalence, ParseStream-vs-sequential equivalence across thread counts,
+// the warm thread-local workspace behind Parse(record), cache admission
+// and collisions, the title and transition-block memos, the bounded
+// route-plan memo, parser options round-trip, and legacy model-stream
+// loading.
 //
 // These tests are the guardrail for the inference fast path: every
 // workspace shortcut must be *exactly* the classic pipeline, down to
@@ -13,6 +14,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,8 +26,9 @@
 #include "text/separator.h"
 #include "util/random.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "whois/json_export.h"
+#include "whois/record_stream.h"
+#include "whois/stream_pipeline.h"
 #include "whois/whois_parser.h"
 
 namespace whoiscrf::whois {
@@ -58,6 +61,23 @@ class ParseBatchTest : public ::testing::Test {
     for (size_t i = begin; i < begin + count; ++i) {
       out.push_back(generator_->Generate(i).thick.text);
     }
+    return out;
+  }
+
+  // Parses `records` through whois::ParseStream on `threads` workers and
+  // returns the parses in sink (input) order.
+  static std::vector<ParsedWhois> StreamParse(
+      const std::vector<std::string>& records, size_t threads) {
+    StreamPipelineOptions options;
+    options.threads = threads;
+    VectorRecordSource source(records);
+    std::vector<ParsedWhois> out;
+    ParseStream(*parser_, source, options,
+                [&](uint64_t index, const std::string&,
+                    const ParsedWhois& parsed) {
+                  EXPECT_EQ(index, out.size());
+                  out.push_back(parsed);
+                });
     return out;
   }
 
@@ -142,8 +162,7 @@ TEST_F(ParseBatchTest, BatchMatchesSequentialAcrossThreadCounts) {
   }
 
   for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-    util::ThreadPool pool(threads);
-    const std::vector<ParsedWhois> batch = parser_->ParseBatch(records, pool);
+    const std::vector<ParsedWhois> batch = StreamParse(records, threads);
     ASSERT_EQ(batch.size(), sequential.size()) << threads << " threads";
     for (size_t r = 0; r < batch.size(); ++r) {
       EXPECT_EQ(ToJson(batch[r]), ToJson(sequential[r]))
@@ -154,24 +173,34 @@ TEST_F(ParseBatchTest, BatchMatchesSequentialAcrossThreadCounts) {
   }
 }
 
-TEST_F(ParseBatchTest, SecondBatchOnSamePoolHitsWarmCaches) {
-  // Pool threads parse through their thread-local workspaces, so a second
-  // batch on the same pool starts with the caches the first one warmed.
+TEST_F(ParseBatchTest, ThreadLocalWorkspaceStaysWarmAcrossCalls) {
+  // Parse(record) runs on the calling thread's thread-local workspace, so
+  // a second pass on the same thread starts with the caches the first one
+  // warmed. A fresh thread starts from a cold workspace.
   const std::vector<std::string> records = CorpusTexts(1000, 40);
   const auto hits = [] {
     return obs::Registry::Global().CounterValue(
         "whoiscrf_compile_cache_hits_total");
   };
-  util::ThreadPool pool(2);
-  const uint64_t before = hits();
-  const std::vector<ParsedWhois> first = parser_->ParseBatch(records, pool);
-  const uint64_t after_first = hits();
-  const std::vector<ParsedWhois> second = parser_->ParseBatch(records, pool);
-  const uint64_t after_second = hits();
-  EXPECT_GT(after_second - after_first, after_first - before);
+  uint64_t first_hits = 0;
+  uint64_t second_hits = 0;
+  std::vector<ParsedWhois> first;
+  std::vector<ParsedWhois> second;
+  std::thread([&] {
+    const uint64_t before = hits();
+    for (const std::string& r : records) first.push_back(parser_->Parse(r));
+    const uint64_t after_first = hits();
+    for (const std::string& r : records) second.push_back(parser_->Parse(r));
+    first_hits = after_first - before;
+    second_hits = hits() - after_first;
+  }).join();
+  EXPECT_GT(second_hits, first_hits);
   ASSERT_EQ(second.size(), first.size());
+  ParseWorkspace ws;
   for (size_t r = 0; r < first.size(); ++r) {
     EXPECT_EQ(ToJson(second[r]), ToJson(first[r])) << "record " << r;
+    EXPECT_EQ(ToJson(first[r]), ToJson(parser_->Parse(records[r], ws)))
+        << "record " << r;
   }
 }
 
@@ -376,12 +405,11 @@ TEST(FieldRouteCacheTest, StaysBoundedUnderUniqueTitles) {
 }
 
 TEST_F(ParseBatchTest, ParseBatchHandlesEmptyAndDegenerateRecords) {
-  util::ThreadPool pool(2);
-  EXPECT_TRUE(parser_->ParseBatch({}, pool).empty());
+  EXPECT_TRUE(StreamParse({}, 2).empty());
 
   const std::vector<std::string> records = {
       "", "\n\n\n", "%%%%%\n-----\n", generator_->Generate(900).thick.text};
-  const auto batch = parser_->ParseBatch(records, pool);
+  const auto batch = StreamParse(records, 2);
   ASSERT_EQ(batch.size(), records.size());
   for (size_t r = 0; r < records.size(); ++r) {
     EXPECT_EQ(ToJson(batch[r]), ToJson(parser_->ParseNaive(records[r])))

@@ -1,6 +1,6 @@
 // Streaming corpus pipeline: record framing across chunk boundaries,
 // bounded-queue backpressure, sharded record store round-trips, and
-// ParseStream vs in-memory ParseBatch equivalence (byte-identical output,
+// ParseStream vs sequential Parse equivalence (byte-identical output,
 // exact input order, every thread count).
 //
 // Like test_parse_batch.cc, run these in a -DWHOISCRF_TSAN=ON build tree:
@@ -26,7 +26,6 @@
 #include "util/bounded_queue.h"
 #include "util/checkpoint.h"
 #include "util/chunk_reader.h"
-#include "util/thread_pool.h"
 #include "whois/json_export.h"
 #include "whois/record_store.h"
 #include "whois/record_stream.h"
@@ -689,12 +688,14 @@ TEST_F(StreamPipelineTest, StreamingMatchesInMemoryBatchByteForByte) {
     text += "%%\n";
   }
 
-  util::ThreadPool pool(4);
-  const std::vector<ParsedWhois> batch = parser_->ParseBatch(records, pool);
+  // The in-memory reference: every record parsed in order on one thread.
+  std::vector<ParsedWhois> batch;
+  ParseWorkspace ws;
+  for (const std::string& r : records) batch.push_back(parser_->Parse(r, ws));
 
   // Tiny chunks, batches, and queues: maximum pressure on the framing and
-  // the reorder logic. Output must still be the in-memory batch, byte for
-  // byte, in exact input order.
+  // the reorder logic. Output must still be the sequential parses, byte
+  // for byte, in exact input order.
   for (size_t threads : {size_t{1}, size_t{4}}) {
     util::MemoryByteSource bytes(text, 37);
     TextRecordSource source(bytes);

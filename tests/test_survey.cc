@@ -765,5 +765,11 @@ TEST(SurveyAccumulatorTest, MultiShardStoreStreamMatchesInMemoryPath) {
   }
 }
 
+TEST(ScaleRunOptionsTest, KeepsTheLargerScaleCheckpointInterval) {
+  // Scale runs checkpoint every 65536 records, not parse's 4096.
+  EXPECT_EQ(ScaleRunOptions().parse.checkpoint_interval, 65536u);
+  EXPECT_EQ(whois::CheckpointedParseOptions().checkpoint_interval, 4096u);
+}
+
 }  // namespace
 }  // namespace whoiscrf::survey
