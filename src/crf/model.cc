@@ -230,11 +230,12 @@ void CrfModel::UnaryScores(const CompiledItem& item, double* out) const {
   }
 }
 
-void CrfModel::PairwiseScores(const CompiledItem& item, double* out) const {
+void CrfModel::PairwiseScores(std::span<const int> trans_slots,
+                              double* out) const {
   const size_t L = static_cast<size_t>(num_labels());
   const double* trans = &weights_[TransitionIndex(0, 0)];
   for (size_t ij = 0; ij < L * L; ++ij) out[ij] = trans[ij];
-  for (int slot : item.trans_slots) {
+  for (int slot : trans_slots) {
     const double* w = &weights_[ObservedTransitionIndex(slot, 0, 0)];
     for (size_t ij = 0; ij < L * L; ++ij) out[ij] += w[ij];
   }
@@ -246,7 +247,7 @@ void CrfModel::FillPairwise(const CompiledSequence& seq, Scores& s) const {
   s.exp_pair_rows.clear();
   s.pairwise.assign(static_cast<size_t>(s.T) * L * L, 0.0);
   for (size_t t = 1; t < seq.size(); ++t) {
-    PairwiseScores(seq[t], &s.pairwise[t * L * L]);
+    PairwiseScores(seq[t].trans_slots, &s.pairwise[t * L * L]);
   }
 }
 

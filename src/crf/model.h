@@ -143,12 +143,13 @@ class CrfModel {
   // ComputeScores, so memoized rows are bit-identical to a fresh run.
   void UnaryScores(const CompiledItem& item, double* out) const;
 
-  // Pairwise score block for one compiled item: out (L*L doubles) =
-  // transition weights plus the item's observed-transition matrices. This
-  // is the t >= 1 pairwise block of ComputeScores — it depends only on the
-  // item, not on the position — accumulated in the same order, so memoized
-  // blocks are bit-identical to a fresh run.
-  void PairwiseScores(const CompiledItem& item, double* out) const;
+  // Pairwise score block for one compiled item's `trans_slots`: out (L*L
+  // doubles) = transition weights plus those slots' observed-transition
+  // matrices. This is the t >= 1 pairwise block of ComputeScores — it
+  // depends only on the slot list, not on the item's attrs or position —
+  // accumulated in the same order, so memoized blocks are bit-identical to
+  // a fresh run.
+  void PairwiseScores(std::span<const int> trans_slots, double* out) const;
 
   // Label id by name, or -1.
   int LabelId(std::string_view name) const;

@@ -64,39 +64,22 @@ double ReadF64(std::istream& is) {
   return v;
 }
 
-// Title/value split with fallback: lines without a separator are all value.
-struct TitleValue {
-  std::string title;  // lower-cased
-  std::string value;
-};
-
-// Allocation-free when `title`/`value` already have capacity (the line
-// cache reuses its entries' strings across evictions).
-void SplitTitleValueInto(const text::Line& line,
-                         const std::optional<text::SeparatorSplit>& sep,
-                         std::string& title, std::string& value) {
-  if (sep.has_value()) {
-    title.assign(sep->title);
-    util::scan::AsciiLower(title.data(), title.size(), title.data());
-    value.assign(sep->value);
-  } else {
+// Title/value split with fallback: lines without a separator are all
+// value. Fills `title` lower-cased (allocation-free once it has capacity)
+// and returns the value, a view into the line.
+std::string_view SplitTitleValueInto(
+    const text::Line& line, const std::optional<text::SeparatorSplit>& sep,
+    std::string& title) {
+  if (!sep.has_value()) {
     title.clear();
-    value.assign(util::Trim(line.text));
+    return util::Trim(line.text);
   }
+  title.assign(sep->title);
+  util::scan::AsciiLower(title.data(), title.size(), title.data());
+  return sep->value;
 }
 
-void SplitTitleValueInto(const text::Line& line, std::string& title,
-                         std::string& value) {
-  SplitTitleValueInto(line, text::FindSeparator(line.text), title, value);
-}
-
-TitleValue SplitTitleValue(const text::Line& line) {
-  TitleValue tv;
-  SplitTitleValueInto(line, tv.title, tv.value);
-  return tv;
-}
-
-void AssignFirst(std::string& field, const std::string& value) {
+void AssignFirst(std::string& field, std::string_view value) {
   if (field.empty() && !value.empty()) field = value;
 }
 
@@ -137,6 +120,10 @@ constexpr size_t kLineCacheSlots = 1 << 13;
 // eviction, and replay copies everything out during the probe, so no
 // pinning is needed.
 constexpr size_t kWordCacheSlots = 1 << 13;
+
+// The slot sizes the header comments promise (they bound a workspace).
+static_assert(sizeof(LineSlot) == 48);
+static_assert(sizeof(WordSlot) == 72);
 
 // Title memo: slot count (power of two), probe window and the longest raw
 // title it keys. A census has ~400 distinct title prefixes; longer titles
@@ -198,7 +185,7 @@ void ResetPairMemo(PairBlockMemo& memo, size_t slots, size_t block_size) {
 // writes it into an evictable entry's storage, or into the overflow pool
 // when none is free. The block stays valid until the next record starts.
 template <typename Fill>
-const double* PairBlock(PairBlockMemo& memo, const std::vector<int>& slots,
+const double* PairBlock(PairBlockMemo& memo, std::span<const int> slots,
                         uint64_t record_seq, Fill&& fill) {
   const size_t mask = memo.entries.size() - 1;
   const uint32_t len = static_cast<uint32_t>(slots.size());
@@ -314,15 +301,11 @@ class DualInternSink final : public text::AttrSink {
     if (slot_->hash == hash_ && slot_->len == key_len_ &&
         std::memcmp(slot_->key, key_, key_len_) == 0) {
       for (size_t i = 0; i < slot_->n_mapped; ++i) {
-        const WordMappedAttr& m = slot_->mapped[i];
+        const uint32_t m = slot_->mapped[i];
         // Only the word attribute itself is transition-eligible, and only
         // when the caller's context (first title word) says so now.
-        const bool trans = transition && m.is_word_attr;
-        const double* row = packed_ + m.packed;
-        if (m.id1 >= 0) Add(*item1_, m.id1, m.slot1, trans, row, L1_, unary1_);
-        if (m.id2 >= 0) {
-          Add(*item2_, m.id2, m.slot2, trans, row + L1_, L2_, unary2_);
-        }
+        Emit(attrs_[m & ~WordSlot::kWordAttr],
+             transition && (m & WordSlot::kWordAttr) != 0);
       }
       return slot_->emit_count;
     }
@@ -369,34 +352,27 @@ class DualInternSink final : public text::AttrSink {
     slot_->n_mapped = static_cast<uint8_t>(rec_mapped_);
     std::memcpy(slot_->key, key_, key_len_);
     std::memcpy(slot_->mapped, rec_staging_,
-                static_cast<size_t>(rec_mapped_) * sizeof(WordMappedAttr));
+                static_cast<size_t>(rec_mapped_) * sizeof(uint32_t));
     rec_mapped_ = -1;
   }
 
   void OnAttr(std::string_view attr, bool transition) override {
     const AttrSlot* found = Find(attr);
-    const auto* d = found != nullptr ? &found->attr : nullptr;
     if (rec_mapped_ >= 0) {
       // The first emission inside a word window is the word attribute.
       const bool is_word = rec_emit_ == 0;
       ++rec_emit_;
-      if (d != nullptr) {
+      if (found != nullptr) {
         if (rec_mapped_ < static_cast<int>(WordSlot::kMappedMax)) {
-          rec_staging_[rec_mapped_++] = {d->id1,   d->slot1,  d->id2,
-                                         d->slot2, d->packed, is_word};
+          rec_staging_[rec_mapped_++] =
+              static_cast<uint32_t>(found - attrs_) |
+              (is_word ? WordSlot::kWordAttr : 0);
         } else {
           rec_mapped_ = -1;  // too many attrs to memoize; leave slot as-is
         }
       }
     }
-    if (d == nullptr) return;
-    const double* row = packed_ + d->packed;
-    if (d->id1 >= 0) {
-      Add(*item1_, d->id1, d->slot1, transition, row, L1_, unary1_);
-    }
-    if (d->id2 >= 0) {
-      Add(*item2_, d->id2, d->slot2, transition, row + L1_, L2_, unary2_);
-    }
+    if (found != nullptr) Emit(*found, transition);
   }
 
  private:
@@ -413,6 +389,16 @@ class DualInternSink final : public text::AttrSink {
               0) {
         return &slot;
       }
+    }
+  }
+
+  // Interns one in-vocabulary attribute into whichever levels know it.
+  void Emit(const AttrSlot& slot, bool transition) {
+    const auto& d = slot.attr;
+    const double* row = packed_ + d.packed;
+    if (d.id1 >= 0) Add(*item1_, d.id1, d.slot1, transition, row, L1_, unary1_);
+    if (d.id2 >= 0) {
+      Add(*item2_, d.id2, d.slot2, transition, row + L1_, L2_, unary2_);
     }
   }
 
@@ -443,7 +429,7 @@ class DualInternSink final : public text::AttrSink {
   char key_[WordSlot::kKeyMax];
   int rec_mapped_ = -1;  // -1: not recording; else #mapped attrs recorded
   uint32_t rec_emit_ = 0;
-  WordMappedAttr rec_staging_[WordSlot::kMappedMax];
+  uint32_t rec_staging_[WordSlot::kMappedMax];
 };
 
 }  // namespace
@@ -451,12 +437,12 @@ class DualInternSink final : public text::AttrSink {
 namespace {
 
 // Routes one subfield value into a contact struct.
-void AssignContactField(Contact& c, Level2Label sub, const std::string& v) {
+void AssignContactField(Contact& c, Level2Label sub, std::string_view v) {
   switch (sub) {
     case Level2Label::kName: AssignFirst(c.name, v); break;
     case Level2Label::kId: AssignFirst(c.id, v); break;
     case Level2Label::kOrg: AssignFirst(c.org, v); break;
-    case Level2Label::kStreet: c.street.push_back(v); break;
+    case Level2Label::kStreet: c.street.emplace_back(v); break;
     case Level2Label::kCity: AssignFirst(c.city, v); break;
     case Level2Label::kState: AssignFirst(c.state, v); break;
     case Level2Label::kPostcode: AssignFirst(c.postcode, v); break;
@@ -464,7 +450,7 @@ void AssignContactField(Contact& c, Level2Label sub, const std::string& v) {
     case Level2Label::kPhone: AssignFirst(c.phone, v); break;
     case Level2Label::kFax: AssignFirst(c.fax, v); break;
     case Level2Label::kEmail: AssignFirst(c.email, v); break;
-    case Level2Label::kOther: c.other.push_back(v); break;
+    case Level2Label::kOther: c.other.emplace_back(v); break;
   }
 }
 
@@ -517,7 +503,7 @@ inline bool HasKeyword(const std::string& title, uint32_t title_mask,
 }
 
 LineRoutePlan ComputeRoutePlan(const std::string& title,
-                               const std::string& value) {
+                               std::string_view value) {
   LineRoutePlan plan;
   const uint32_t tm = LetterMask(title);
   if (HasKeyword(title, tm, "whois") || HasKeyword(title, tm, "referral")) {
@@ -569,14 +555,12 @@ LineRoutePlan ComputeRoutePlan(const std::string& title,
 // memoized in `cache` (see FieldRouteCache).
 LineRoutePlan TitleRoutePlan(const std::string& title,
                              FieldRouteCache& cache) {
-  static const std::string kEmptyValue;
   auto it = cache.by_title.find(title);
   if (it == cache.by_title.end()) {
     if (cache.by_title.size() >= FieldRouteCache::kMaxTitles) {
       cache.by_title.clear();
     }
-    it = cache.by_title.emplace(title, ComputeRoutePlan(title, kEmptyValue))
-             .first;
+    it = cache.by_title.emplace(title, ComputeRoutePlan(title, {})).first;
   }
   return it->second;
 }
@@ -597,7 +581,7 @@ LineRoutePlan WithValue(LineRoutePlan plan, std::string_view value) {
 // value (domain/URL shape), so their plan is computed per line; they are
 // the rare case in titled formats.
 LineRoutePlan CachedRoutePlan(const std::string& title,
-                              const std::string& value,
+                              std::string_view value,
                               FieldRouteCache& cache) {
   if (title.empty()) return ComputeRoutePlan(title, value);
   return WithValue(TitleRoutePlan(title, cache), value);
@@ -607,7 +591,7 @@ LineRoutePlan CachedRoutePlan(const std::string& title,
 // pre-resolved plan; the two indices walk the level-2 label vectors.
 // Single source of truth for both ExtractFields (which computes the plan
 // on the fly) and the fast path (which replays the cached plan).
-void RouteLine(const LineRoutePlan& plan, const std::string& value,
+void RouteLine(const LineRoutePlan& plan, std::string_view value,
                Level1Label label,
                const std::vector<Level2Label>& registrant_sub_labels,
                size_t& registrant_index,
@@ -631,10 +615,10 @@ void RouteLine(const LineRoutePlan& plan, const std::string& value,
             AssignFirst(out.domain_name, value);
             break;
           case kDomNameServer:
-            if (!value.empty()) out.name_servers.push_back(value);
+            if (!value.empty()) out.name_servers.emplace_back(value);
             break;
           case kDomStatus:
-            if (!value.empty()) out.statuses.push_back(value);
+            if (!value.empty()) out.statuses.emplace_back(value);
             break;
           case kDomNameFallback:
             if (out.domain_name.empty()) out.domain_name = value;
@@ -660,9 +644,8 @@ void RouteLine(const LineRoutePlan& plan, const std::string& value,
                 : Level2Label::kOther;
         ++registrant_index;
         // Block-header lines ("Registrant:" with empty value) carry no data.
-        const std::string& v = value;
-        if (v.empty()) break;
-        AssignContactField(out.registrant, sub, v);
+        if (value.empty()) break;
+        AssignContactField(out.registrant, sub, value);
         break;
       }
       case Level1Label::kOther: {
@@ -687,9 +670,11 @@ void ExtractFields(const std::vector<text::Line>& lines,
                    const std::vector<Level2Label>& other_sub_labels) {
   size_t registrant_index = 0;
   size_t other_index = 0;
+  std::string title;
   for (size_t i = 0; i < lines.size(); ++i) {
-    const TitleValue tv = SplitTitleValue(lines[i]);
-    RouteLine(ComputeRoutePlan(tv.title, tv.value), tv.value, labels[i],
+    const std::string_view value = SplitTitleValueInto(
+        lines[i], text::FindSeparator(lines[i].text), title);
+    RouteLine(ComputeRoutePlan(title, value), value, labels[i],
               registrant_sub_labels, registrant_index, other_sub_labels,
               other_index, out);
   }
@@ -705,7 +690,8 @@ void ExtractFieldsCached(
   size_t registrant_index = 0;
   size_t other_index = 0;
   for (size_t i = 0; i < lines.size(); ++i) {
-    SplitTitleValueInto(lines[i], separators[i], cache.title, cache.value);
+    const std::string_view value =
+        SplitTitleValueInto(lines[i], separators[i], cache.title);
     // RouteLine reads the plan only for registrar, domain and date lines;
     // contact and null lines (most of a thick record) skip the memo probe
     // and the value-shape checks.
@@ -713,11 +699,47 @@ void ExtractFieldsCached(
     const bool planned = label == Level1Label::kRegistrar ||
                          label == Level1Label::kDomain ||
                          label == Level1Label::kDate;
-    RouteLine(planned ? CachedRoutePlan(cache.title, cache.value, cache)
+    RouteLine(planned ? CachedRoutePlan(cache.title, value, cache)
                       : LineRoutePlan{},
-              cache.value, label, registrant_sub_labels, registrant_index,
+              value, label, registrant_sub_labels, registrant_index,
               kNoOtherSubs, other_index, out);
   }
+}
+
+void LineCacheEntry::Pack(std::span<const double> unary1,
+                          std::span<const double> unary2,
+                          std::span<const int> trans1,
+                          std::span<const int> trans2, std::string_view value,
+                          std::string_view key, const LineRoutePlan& plan) {
+  const size_t unary_bytes = (unary1.size() + unary2.size()) * sizeof(double);
+  const size_t trans_bytes = (trans1.size() + trans2.size()) * sizeof(int);
+  const size_t need = unary_bytes + trans_bytes + value.size() + key.size();
+  if (need > UINT32_MAX - 15) {
+    throw std::length_error("LineCacheEntry: line too long to cache");
+  }
+  if (need > capacity_) {
+    // Rounded up to malloc's 16-byte granule, which costs nothing extra.
+    capacity_ = static_cast<uint32_t>((need + 15) & ~size_t{15});
+    data_.reset(new std::byte[capacity_]);
+  }
+  n_unary1_ = static_cast<uint16_t>(unary1.size());
+  n_unary2_ = static_cast<uint16_t>(unary2.size());
+  n_trans1_ = static_cast<uint16_t>(trans1.size());
+  n_trans2_ = static_cast<uint16_t>(trans2.size());
+  value_len_ = static_cast<uint32_t>(value.size());
+  key_len_ = static_cast<uint32_t>(key.size());
+  plan_ = plan;
+  std::byte* p = data_.get();
+  const auto put = [&p](const void* src, size_t bytes) {
+    if (bytes != 0) std::memcpy(p, src, bytes);
+    p += bytes;
+  };
+  put(unary1.data(), unary1.size() * sizeof(double));
+  put(unary2.data(), unary2.size() * sizeof(double));
+  put(trans1.data(), trans1.size() * sizeof(int));
+  put(trans2.data(), trans2.size() * sizeof(int));
+  put(value.data(), value.size());
+  put(key.data(), key.size());
 }
 
 WhoisParser::WhoisParser(std::unique_ptr<crf::CrfModel> level1,
@@ -906,7 +928,7 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
   const size_t L2 = static_cast<size_t>(level2_->num_labels());
   if (ws.cache_owner != instance_id_) {
     metrics_.workspace_cold->Inc();
-    for (LineSlot& slot : ws.slots) slot.key.clear();  // vacate, keep buffers
+    for (LineSlot& slot : ws.slots) slot.entry.Vacate();  // keep buffers
     for (WordSlot& slot : ws.word_slots) slot.len = 0;
     for (TitleMemoSlot& slot : ws.titles) slot.key.clear();
     ResetPairMemo(ws.pairs1, kPairMemoSlots1, 2 * L1 * L1);
@@ -921,6 +943,7 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
   ws.pairs1.overflow_used = 0;
   ws.pairs2.overflow_used = 0;
 
+  ws.unary.resize(L1 + L2);
   const size_t T = ws.lines.size();
   DualInternSink sink(attr_slots_, attr_names_, ws.word_slots, ws.doorkeeper,
                       packed_unary_.data(), L1, L2);
@@ -951,33 +974,35 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
     const uint64_t hash = KeyHash(ws.key);
     LineSlot& slot = ws.slots[hash & (kLineCacheSlots - 1)];
     const LineCacheEntry* entry;
-    if (slot.hash == hash && slot.key == ws.key) {
+    if (slot.hash == hash && slot.entry.key() == ws.key) {
       ++cache_hits;
       slot.record_seq = record_seq;  // pin against same-record eviction
       entry = &slot.entry;
     } else {
-      LineCacheEntry* e;
       // A first sighting, or a collision with a line this record already
-      // points at, compiles into the (reused, pointer-stable) overflow
-      // pool instead of taking the slot.
+      // points at, packs into the (reused, pointer-stable) overflow pool
+      // instead of taking the slot.
+      LineCacheEntry* e;
+      std::string_view key;
       if (!ws.doorkeeper.SeenBefore(hash) ||
-          (!slot.key.empty() && slot.record_seq == record_seq)) {
+          (!slot.entry.key().empty() && slot.record_seq == record_seq)) {
         e = ws.overflow_used < ws.overflow.size()
                 ? &ws.overflow[ws.overflow_used]
                 : &ws.overflow.emplace_back();
         ++ws.overflow_used;
       } else {
         slot.hash = hash;
-        slot.key.assign(ws.key);
         slot.record_seq = record_seq;
         e = &slot.entry;
+        key = ws.key;
       }
-      e->unary1.resize(L1);
-      e->unary2.resize(L2);
-      sink.BeginLine(e->level1, e->level2, e->unary1.data(), e->unary2.data());
+      // Compile into the workspace scratch, then pack into the entry.
+      sink.BeginLine(ws.compiled1, ws.compiled2, ws.unary.data(),
+                     ws.unary.data() + L1);
       // One separator scan serves the tokenizer and the title/value split.
       const auto split = text::FindSeparator(line.text);
-      const std::string_view value = text::Tokenizer::ValuePart(line, split);
+      std::string_view value = text::Tokenizer::ValuePart(line, split);
+      LineRoutePlan plan;
       FieldRouteCache& routes = ws.field_routes;
       if (split.has_value() && !split->title.empty() &&
           split->title.size() <= kTitleMemoMaxTitle) {
@@ -988,7 +1013,6 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
         const TitleMemoSlot* memo =
             FindTitle(ws.titles, title_hash, ws.title_key);
         size_t emitted;
-        LineRoutePlan plan;
         if (memo != nullptr) {
           sink.RestorePrefix(*memo);
           emitted = memo->emitted;
@@ -1010,29 +1034,31 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
           }
         }
         tokenizer_.ExtractValueTo(value, emitted, sink, ws.crf.token_scratch);
-        e->value.assign(value);
-        e->plan = WithValue(plan, value);
+        plan = WithValue(plan, value);
       } else {
         const size_t emitted = tokenizer_.ExtractPrefixTo(
             line, split, sink, ws.crf.token_scratch);
         tokenizer_.ExtractValueTo(value, emitted, sink, ws.crf.token_scratch);
-        SplitTitleValueInto(line, split, routes.title, e->value);
-        e->plan = CachedRoutePlan(routes.title, e->value, routes);
+        value = SplitTitleValueInto(line, split, routes.title);
+        plan = CachedRoutePlan(routes.title, value, routes);
       }
+      e->Pack({ws.unary.data(), L1}, {ws.unary.data() + L1, L2},
+              ws.compiled1.trans_slots, ws.compiled2.trans_slots, value, key,
+              plan);
       entry = e;
     }
     ws.line_entries[t] = entry;
-    std::memcpy(&sc.unary[t * L1], entry->unary1.data(), L1 * sizeof(double));
+    std::memcpy(&sc.unary[t * L1], entry->unary1(), L1 * sizeof(double));
     if (t > 0) {
-      const crf::CompiledItem& item = entry->level1;
-      if (item.trans_slots.empty()) {
+      const std::span<const int> slots = entry->trans1();
+      if (slots.empty()) {
         sc.pair_rows[t] = trans1;
         sc.exp_pair_rows[t] = base_exp1_.data();
       } else {
         const double* block =
-            PairBlock(ws.pairs1, item.trans_slots, record_seq,
+            PairBlock(ws.pairs1, slots, record_seq,
                       [&](double* fresh) {
-                        level1_->PairwiseScores(item, fresh);
+                        level1_->PairwiseScores(slots, fresh);
                         for (size_t ij = 0; ij < LL1; ++ij) {
                           fresh[LL1 + ij] = std::exp(fresh[ij]);
                         }
@@ -1077,16 +1103,15 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
     sc.exp_pair_rows.clear();         // level 2 only decodes
     for (size_t b = 0; b < B; ++b) {
       const LineCacheEntry& entry = *ws.block[b];
-      std::memcpy(&sc.unary[b * L2], entry.unary2.data(),
-                  L2 * sizeof(double));
+      std::memcpy(&sc.unary[b * L2], entry.unary2(), L2 * sizeof(double));
       if (b > 0) {
-        const crf::CompiledItem& item = entry.level2;
+        const std::span<const int> slots = entry.trans2();
         sc.pair_rows[b] =
-            item.trans_slots.empty()
+            slots.empty()
                 ? trans2
-                : PairBlock(ws.pairs2, item.trans_slots, record_seq,
+                : PairBlock(ws.pairs2, slots, record_seq,
                             [&](double* fresh) {
-                              level2_->PairwiseScores(item, fresh);
+                              level2_->PairwiseScores(slots, fresh);
                             });
       }
     }
@@ -1104,7 +1129,7 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
   size_t other_index = 0;
   for (size_t i = 0; i < T; ++i) {
     const LineCacheEntry& entry = *ws.line_entries[i];
-    RouteLine(entry.plan, entry.value, out.line_labels[i], ws.sub_labels,
+    RouteLine(entry.plan(), entry.value(), out.line_labels[i], ws.sub_labels,
               registrant_index, ws.other_subs, other_index, out);
   }
 

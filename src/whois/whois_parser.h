@@ -16,12 +16,15 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -61,48 +64,82 @@ struct LineRoutePlan {
 // 102M records drawn from a few thousand registrar templates), so caching
 // by line content skips tokenization, word classification, vocabulary
 // interning, and the unary part of scoring on every repeat.
-struct LineCacheEntry {
-  crf::CompiledItem level1, level2;
-  std::vector<double> unary1, unary2;  // num_labels() doubles per level
-  // Field-extraction view of the line (separator split, routing
-  // decisions), also a pure function of the text.
-  std::string value;
-  LineRoutePlan plan;
-};
+//
+// An entry is one heap buffer behind a 32-byte header of lengths and the
+// route plan:
+//   [unary1 | unary2 | trans1 | trans2 | value bytes | key bytes]
+// unary1/unary2 are the levels' pre-summed unary rows (num_labels()
+// doubles each) and trans1/trans2 their transition-slot lists, the only
+// part of a compiled line CrfModel::PairwiseScores reads; the line's attr
+// ids are not kept, since nothing reads them once the rows are summed.
+// `value` is the line's field-extraction value, a pure function of the
+// text like the plan. `key` is the line-cache key (layout flags + text);
+// it is empty for an entry outside the slot array, and an empty key marks
+// a vacant slot. Pack repacks in place and grows the buffer only when the
+// new line needs more room.
+class LineCacheEntry {
+ public:
+  void Pack(std::span<const double> unary1, std::span<const double> unary2,
+            std::span<const int> trans1, std::span<const int> trans2,
+            std::string_view value, std::string_view key,
+            const LineRoutePlan& plan);
+  void Vacate() { key_len_ = 0; }
 
-// One interned attribute of a memoized word: both levels' vocabulary ids
-// and transition slots (-1 if absent), plus the attribute's row offset in
-// the parser's packed unary table. `is_word_attr` marks the word
-// attribute itself (vs a class attribute); it alone carries the caller's
-// transition flag on replay.
-struct WordMappedAttr {
-  int32_t id1, slot1;
-  int32_t id2, slot2;
-  int32_t packed;
-  bool is_word_attr;
+  const double* unary1() const {
+    return reinterpret_cast<const double*>(data_.get());
+  }
+  const double* unary2() const { return unary1() + n_unary1_; }
+  std::span<const int> trans1() const {
+    return {reinterpret_cast<const int*>(unary2() + n_unary2_), n_trans1_};
+  }
+  std::span<const int> trans2() const {
+    return {trans1().data() + n_trans1_, n_trans2_};
+  }
+  std::string_view value() const {
+    return {reinterpret_cast<const char*>(trans2().data() + n_trans2_),
+            value_len_};
+  }
+  std::string_view key() const {
+    return {value().data() + value_len_, key_len_};
+  }
+  const LineRoutePlan& plan() const { return plan_; }
+  size_t capacity() const { return capacity_; }  // buffer bytes
+
+ private:
+  std::unique_ptr<std::byte[]> data_;
+  uint32_t capacity_ = 0;
+  uint32_t value_len_ = 0;
+  uint32_t key_len_ = 0;
+  uint16_t n_unary1_ = 0, n_unary2_ = 0;
+  uint16_t n_trans1_ = 0, n_trans2_ = 0;
+  LineRoutePlan plan_;
 };
 
 // One slot of the direct-mapped word cache: memoized attribute emissions
-// for a distinct (title flag, raw word) key, inline — probe, key compare,
-// and replay all touch a couple of cache lines and nothing on the heap. A
-// word's normalized form, class attributes, and vocabulary ids are pure
-// functions of its bytes for a fixed parser, so a repeated word — even
-// inside a never-seen line — skips normalization, classification, and
-// per-attribute hash probes. `emit_count` is the total number of
-// attributes the word emits (including ones outside both vocabularies;
-// the tokenizer needs it for EMPTYLINE accounting); `mapped` holds only
-// the in-vocabulary ones, in emission order. Keys longer than the inline
-// buffer or words with more mapped attributes than the inline array are
-// simply not cached.
+// for a distinct (title flag, raw word) key, inline in 72 bytes — probe,
+// key compare, and replay touch a couple of cache lines and nothing on the
+// heap. A word's normalized form, class attributes, and vocabulary ids are
+// pure functions of its bytes for a fixed parser, so a repeated word —
+// even inside a never-seen line — skips normalization, classification,
+// and per-attribute hash probes. `emit_count` is the total number of
+// attributes the word emits (including ones outside both vocabularies; the
+// tokenizer needs it for EMPTYLINE accounting); `mapped` holds only the
+// in-vocabulary ones, in emission order, each as its index in the parser's
+// flat attr table (which holds both levels' ids and transition slots).
+// kWordAttr marks the word attribute itself (vs a class attribute): it
+// alone carries the caller's transition flag on replay. Keys longer than
+// the inline buffer or words with more mapped attributes than the inline
+// array are simply not cached.
 struct WordSlot {
   static constexpr size_t kKeyMax = 31;
   static constexpr size_t kMappedMax = 6;
+  static constexpr uint32_t kWordAttr = uint32_t{1} << 31;
   uint64_t hash = 0;
   uint8_t len = 0;  // key length; 0 = vacant
   uint8_t emit_count = 0;
   uint8_t n_mapped = 0;
   char key[kKeyMax];
-  WordMappedAttr mapped[kMappedMax];
+  uint32_t mapped[kMappedMax];
 };
 
 // Transparent string hash so map probes can take a string_view key.
@@ -119,7 +156,7 @@ struct TransparentStringHash {
 // Route-plan memo shared by ExtractFieldsCached and the fast path's
 // line-cache misses: plans of *titled* lines keyed by lowered title (for a
 // fixed title the plan is value-independent except for the URL check,
-// which is re-tested per value), plus reused split buffers so
+// which is re-tested per value), plus a reused lowered-title buffer so
 // steady-state extraction allocates nothing. Not thread-safe; use one per
 // thread (ParseWorkspace carries one). Plans are pure text functions,
 // independent of any parser instance, so the memo never needs
@@ -131,7 +168,7 @@ struct FieldRouteCache {
   std::unordered_map<std::string, LineRoutePlan, TransparentStringHash,
                      std::equal_to<>>
       by_title;
-  std::string title, value;
+  std::string title;
 };
 
 // Admission filter for the line and word caches: one bit per hashed key,
@@ -164,14 +201,13 @@ struct Doorkeeper {
   }
 };
 
-// One slot of the direct-mapped line cache. `key` (layout flags + text)
-// empty means vacant; `record_seq` is the last record that read or wrote
-// the slot, which pins it against same-record eviction (line_entries
-// holds raw pointers into slots for the duration of one Parse).
+// One slot of the direct-mapped line cache. `entry.key()` empty means
+// vacant; `record_seq` is the last record that read or wrote the slot,
+// which pins it against same-record eviction (line_entries holds raw
+// pointers into slots for the duration of one Parse).
 struct LineSlot {
   uint64_t hash = 0;
   uint64_t record_seq = 0;
-  std::string key;
   LineCacheEntry entry;
 };
 
@@ -244,11 +280,12 @@ struct ParseWorkspace {
   // reads. Only lines the doorkeeper has seen before are admitted, so
   // one-off lines (dates, domains) compile into `overflow` instead of
   // evicting template lines that repeat across records. Memory stays
-  // bounded with no saturation cliff. Eviction recompiles
-  // *in place*, reusing the slot's vectors and strings, so misses allocate
-  // nothing once capacities have grown. Entries are valid for exactly one
-  // parser instance (`cache_owner`); Parse invalidates all slots when
-  // handed a workspace last used with a different parser.
+  // bounded with no saturation cliff. A miss compiles into the reused
+  // `compiled1`/`compiled2`/`unary` scratch and packs the result into its
+  // entry in place, so misses allocate nothing once capacities have grown.
+  // Entries are valid for exactly one parser instance (`cache_owner`);
+  // Parse vacates all slots when handed a workspace last used with a
+  // different parser.
   uint64_t cache_owner = 0;
   uint64_t record_seq = 0;
   std::vector<LineSlot> slots;  // sized kLineCacheSlots on first use
@@ -261,6 +298,8 @@ struct ParseWorkspace {
   std::vector<const LineCacheEntry*> line_entries;  // per line, this record
   std::vector<const LineCacheEntry*> block;         // level-2 subset
   std::string key;
+  crf::CompiledItem compiled1, compiled2;  // a miss's compiled line
+  std::vector<double> unary;               // a miss's L1 + L2 unary rows
 
   // Word cache, keyed by a title/value flag byte + the raw word bytes.
   // Serves line-cache *misses*: template churn produces novel lines made

@@ -1,9 +1,9 @@
 // Parsing engine: fused tokenize+compile equivalence, fast-vs-naive Parse
 // equivalence, ParseStream-vs-sequential equivalence across thread counts,
 // the warm thread-local workspace behind Parse(record), cache admission
-// and collisions, the title and transition-block memos, the bounded
-// route-plan memo, parser options round-trip, and legacy model-stream
-// loading.
+// and collisions, the title and transition-block memos, line-cache entry
+// repacking, the warm workspace's heap footprint, the bounded route-plan
+// memo, parser options round-trip, and legacy model-stream loading.
 //
 // These tests are the guardrail for the inference fast path: every
 // workspace shortcut must be *exactly* the classic pipeline, down to
@@ -18,12 +18,14 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include "crf/workspace.h"
 #include "datagen/corpus_gen.h"
 #include "obs/metrics.h"
 #include "text/line_splitter.h"
 #include "text/separator.h"
+#include "util/key_hash.h"
 #include "util/random.h"
 #include "util/string_util.h"
 #include "whois/json_export.h"
@@ -33,6 +35,25 @@
 
 namespace whoiscrf::whois {
 namespace {
+
+// Sanitizer allocators do not report through mallinfo2.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kMallinfoReportsHeap = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kMallinfoReportsHeap = false;
+#else
+constexpr bool kMallinfoReportsHeap = true;
+#endif
+#else
+constexpr bool kMallinfoReportsHeap = true;
+#endif
+
+// Heap bytes in use: arena blocks plus separately mmapped large blocks.
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
 
 class ParseBatchTest : public ::testing::Test {
  protected:
@@ -369,6 +390,118 @@ TEST_F(ParseBatchTest, TitleAndTransitionMemosKeepOutputIdentical) {
   EXPECT_GT(titles.size(), long_lived.titles.size());
   EXPECT_GT(lists1.size(), long_lived.pairs1.entries.size());
   EXPECT_GT(lists2.size(), long_lived.pairs2.entries.size());
+}
+
+TEST_F(ParseBatchTest, LineCacheEntriesRepackInPlace) {
+  // One line-cache slot is taken by a template line, re-admitted to a
+  // colliding line whose key and value outgrow the slot's buffer, then to
+  // a shorter one, which must reuse the grown buffer. Then the workspace
+  // goes to another parser, which vacates every slot, and back. No step
+  // may show in the output.
+  const std::string head =
+      "Domain Name: REPACK-TEST.COM\nRegistrar: EXAMPLE REGISTRAR LLC\n"
+      "Registrant Name: Jane Roe\n";
+  const std::string tail =
+      "\nRegistrant Country: US\nName Server: NS1.EXAMPLE.NET\n";
+  const auto record = [&](const std::string& line) {
+    return head + line + tail;
+  };
+  ParseWorkspace ws;
+  // Parses `text` twice (a line is admitted on its second sighting), each
+  // time against ParseNaive.
+  const auto parse_twice = [&](const WhoisParser& parser,
+                               const std::string& text) {
+    for (int pass = 0; pass < 2; ++pass) {
+      const ParsedWhois fast = parser.Parse(text, ws);
+      const ParsedWhois naive = parser.ParseNaive(text);
+      EXPECT_EQ(ToJson(fast), ToJson(naive)) << text;
+      EXPECT_EQ(fast.log_prob, naive.log_prob) << text;
+    }
+  };
+  const auto slot_holding = [&](std::string_view line) -> const LineSlot* {
+    for (const LineSlot& slot : ws.slots) {
+      const std::string_view key = slot.entry.key();
+      if (key.size() == line.size() + 1 && key.substr(1) == line) return &slot;
+    }
+    return nullptr;
+  };
+
+  const std::string first = "Registrant City: Springfield";
+  parse_twice(*parser_, record(first));
+  const LineSlot* slot = slot_holding(first);
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(slot->entry.value(), "Springfield");
+  const size_t first_capacity = slot->entry.capacity();
+
+  // Lines at the same position (same layout flags) whose keys hash to the
+  // same slot.
+  const std::string flags(1, slot->entry.key()[0]);
+  const size_t mask = ws.slots.size() - 1;
+  const size_t index = static_cast<size_t>(slot - ws.slots.data());
+  const auto colliding = [&](const std::string& prefix) {
+    for (size_t n = 0;; ++n) {
+      std::string line = prefix + std::to_string(n);
+      if ((util::KeyHash(flags + line) & mask) == index) return line;
+    }
+  };
+
+  const std::string longer = colliding(
+      "Registrant Street: 1200 Very Long Boulevard Of The Republic, Building "
+      "Seven, Floor Twenty-Three, Suite ");
+  parse_twice(*parser_, record(longer));
+  ASSERT_EQ(slot_holding(longer), slot);
+  EXPECT_EQ(slot_holding(first), nullptr);
+  EXPECT_EQ(slot->entry.value(), longer.substr(longer.find(": ") + 2));
+  const size_t grown_capacity = slot->entry.capacity();
+  EXPECT_GT(grown_capacity, first_capacity);
+
+  const std::string shorter = colliding("Registrant City: Ayr ");
+  ASSERT_LT(shorter.size(), longer.size());
+  parse_twice(*parser_, record(shorter));
+  ASSERT_EQ(slot_holding(shorter), slot);
+  EXPECT_EQ(slot->entry.capacity(), grown_capacity);
+
+  datagen::CorpusOptions corpus;
+  corpus.size = 40;
+  corpus.seed = 13;
+  datagen::CorpusGenerator generator(corpus);
+  std::vector<LabeledRecord> train;
+  for (size_t i = 0; i < 40; ++i) train.push_back(generator.Generate(i).thick);
+  WhoisParserOptions options;
+  options.tokenizer.max_word_length = 10;
+  const WhoisParser other = WhoisParser::Train(train, options);
+  const std::string text = record(shorter);
+  const ParsedWhois crossed = other.Parse(text, ws);
+  EXPECT_EQ(ToJson(crossed), ToJson(other.ParseNaive(text)));
+  EXPECT_EQ(crossed.log_prob, other.ParseNaive(text).log_prob);
+  // Every slot was vacated; only this record's lines can have re-entered.
+  size_t occupied = 0;
+  for (const LineSlot& s : ws.slots) occupied += s.entry.key().empty() ? 0 : 1;
+  EXPECT_LE(occupied, text::SplitRecord(text).size());
+  EXPECT_EQ(slot_holding(longer), nullptr);
+  parse_twice(*parser_, text);
+  parse_twice(*parser_, record(longer));
+}
+
+TEST_F(ParseBatchTest, WarmWorkspaceFootprintStaysBounded) {
+  // Each parse worker keeps one long-lived workspace, so its line and word
+  // caches, memos and overflow pools bound a census's memory. Parses 8,000
+  // distinct records through one workspace and checks the heap it grew.
+  if (!kMallinfoReportsHeap) {
+    GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+  }
+  {
+    ParseWorkspace first;  // sets up this thread's metric shards
+    parser_->Parse(generator_->Generate(0).thick.text, first);
+  }
+  const size_t before = HeapInUse();
+  ParseWorkspace ws;
+  for (size_t i = 20000; i < 28000; ++i) {
+    parser_->Parse(generator_->Generate(i).thick.text, ws);
+  }
+  const size_t grown = HeapInUse() - before;
+  RecordProperty("workspace_heap_bytes", std::to_string(grown));
+  EXPECT_LT(grown, size_t{4608} * 1024) << grown << " bytes";
 }
 
 TEST(FieldRouteCacheTest, StaysBoundedUnderUniqueTitles) {
