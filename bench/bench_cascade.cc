@@ -93,34 +93,6 @@ Measurement Measure(const std::vector<std::vector<std::string>>& slices,
   return m;
 }
 
-// Gold key fields: extract with the record's own labels through the same
-// field extractor every parser shares.
-whois::ParsedWhois GoldParse(const whois::LabeledRecord& record) {
-  const auto lines = text::SplitRecord(record.text);
-  std::vector<whois::Level2Label> subs;
-  for (size_t i = 0; i < record.labels.size(); ++i) {
-    if (record.labels[i] == whois::Level1Label::kRegistrant) {
-      subs.push_back(
-          record.sub_labels[i].value_or(whois::Level2Label::kOther));
-    }
-  }
-  whois::ParsedWhois gold;
-  gold.line_labels = record.labels;
-  whois::ExtractFields(lines, record.labels, subs, gold);
-  return gold;
-}
-
-size_t CountAgreeingKeyFields(const whois::ParsedWhois& a,
-                              const whois::ParsedWhois& b) {
-  const auto va = cascade::KeyFieldValues(a);
-  const auto vb = cascade::KeyFieldValues(b);
-  size_t agree = 0;
-  for (size_t i = 0; i < va.size(); ++i) {
-    if (va[i] == vb[i]) ++agree;
-  }
-  return agree;
-}
-
 int Main() {
   // The smoke clamp does NOT shrink this bench's corpus: with a
   // tiny training set the cheap tiers cover too little of the eval mix,
@@ -231,12 +203,12 @@ int Main() {
   size_t tier_counts[3] = {0, 0, 0};
   whois::ParseWorkspace acc_ws;
   for (const whois::LabeledRecord& record : labeled) {
-    const whois::ParsedWhois gold = GoldParse(record);
+    const whois::ParsedWhois gold = cascade::GoldParse(record);
     const cascade::CascadeResult result =
         cascade_parser.Parse(record.text, acc_ws);
     const whois::ParsedWhois pure = parser.Parse(record.text, acc_ws);
-    cascade_agree += CountAgreeingKeyFields(result.parsed, gold);
-    crf_agree += CountAgreeingKeyFields(pure, gold);
+    cascade_agree += cascade::CountAgreeingKeyFields(result.parsed, gold);
+    crf_agree += cascade::CountAgreeingKeyFields(pure, gold);
     total_fields += cascade::kNumKeyFields;
     ++tier_counts[static_cast<int>(result.tier)];
   }

@@ -32,7 +32,6 @@
 #include "lifecycle/controller.h"
 #include "obs/metrics.h"
 #include "serve/model_host.h"
-#include "text/line_splitter.h"
 #include "util/env.h"
 #include "whois/whois_parser.h"
 
@@ -45,34 +44,6 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Gold key fields: extract with the record's own labels through the same
-// field extractor every parser shares.
-whois::ParsedWhois GoldParse(const whois::LabeledRecord& record) {
-  const auto lines = text::SplitRecord(record.text);
-  std::vector<whois::Level2Label> subs;
-  for (size_t i = 0; i < record.labels.size(); ++i) {
-    if (record.labels[i] == whois::Level1Label::kRegistrant) {
-      subs.push_back(
-          record.sub_labels[i].value_or(whois::Level2Label::kOther));
-    }
-  }
-  whois::ParsedWhois gold;
-  gold.line_labels = record.labels;
-  whois::ExtractFields(lines, record.labels, subs, gold);
-  return gold;
-}
-
-size_t CountAgreeingKeyFields(const whois::ParsedWhois& a,
-                              const whois::ParsedWhois& b) {
-  const auto va = cascade::KeyFieldValues(a);
-  const auto vb = cascade::KeyFieldValues(b);
-  size_t agree = 0;
-  for (size_t i = 0; i < va.size(); ++i) {
-    if (va[i] == vb[i]) ++agree;
-  }
-  return agree;
-}
-
 double AccuracyOver(const whois::WhoisParser& parser,
                     const datagen::TemporalCorpusGenerator& generator,
                     size_t begin, size_t end) {
@@ -80,8 +51,8 @@ double AccuracyOver(const whois::WhoisParser& parser,
   size_t agree = 0, total = 0;
   for (size_t i = begin; i < end; ++i) {
     const whois::LabeledRecord record = generator.Generate(i).thick;
-    agree += CountAgreeingKeyFields(parser.Parse(record.text, ws),
-                                    GoldParse(record));
+    agree += cascade::CountAgreeingKeyFields(parser.Parse(record.text, ws),
+                                             cascade::GoldParse(record));
     total += cascade::kNumKeyFields;
   }
   return total > 0 ? static_cast<double>(agree) / static_cast<double>(total)
@@ -171,9 +142,9 @@ int Main() {
     const datagen::GeneratedDomain domain = generator.Generate(i);
     const whois::LabeledRecord& record = domain.thick;
     const bool wrong =
-        CountAgreeingKeyFields(
-            controller.Current()->Parse(record.text, ws), GoldParse(record)) <
-        cascade::kNumKeyFields;
+        cascade::CountAgreeingKeyFields(
+            controller.Current()->Parse(record.text, ws),
+            cascade::GoldParse(record)) < cascade::kNumKeyFields;
     lifecycle::Observation obs;
     obs.registrar = domain.facts.registrar_name;
     obs.shadow_sampled = true;

@@ -52,8 +52,33 @@ std::vector<std::string_view> KeyFieldValues(const whois::ParsedWhois& p) {
           p.registrant.org,   p.registrant.email, p.registrant.country};
 }
 
+size_t CountAgreeingKeyFields(const whois::ParsedWhois& a,
+                              const whois::ParsedWhois& b) {
+  const auto va = KeyFieldValues(a);
+  const auto vb = KeyFieldValues(b);
+  size_t agree = 0;
+  for (size_t i = 0; i < va.size(); ++i) {
+    if (va[i] == vb[i]) ++agree;
+  }
+  return agree;
+}
+
 bool KeyFieldsAgree(const whois::ParsedWhois& a, const whois::ParsedWhois& b) {
-  return KeyFieldValues(a) == KeyFieldValues(b);
+  return CountAgreeingKeyFields(a, b) == kNumKeyFields;
+}
+
+whois::ParsedWhois GoldParse(const whois::LabeledRecord& record) {
+  const std::vector<text::Line> lines = text::SplitRecord(record.text);
+  std::vector<Level2Label> subs;
+  for (size_t i = 0; i < record.labels.size(); ++i) {
+    if (record.labels[i] == Level1Label::kRegistrant) {
+      subs.push_back(record.sub_labels[i].value_or(Level2Label::kOther));
+    }
+  }
+  whois::ParsedWhois gold;
+  gold.line_labels = record.labels;
+  whois::ExtractFields(lines, record.labels, subs, gold);
+  return gold;
 }
 
 CascadeParser::CascadeParser(const whois::WhoisParser* crf,

@@ -107,8 +107,18 @@ struct CascadeResult {
 inline constexpr size_t kNumKeyFields = 9;
 std::vector<std::string_view> KeyFieldValues(const whois::ParsedWhois& p);
 
+// Number of key fields that match exactly (0..kNumKeyFields).
+size_t CountAgreeingKeyFields(const whois::ParsedWhois& a,
+                              const whois::ParsedWhois& b);
+
 // True when every key field matches exactly.
 bool KeyFieldsAgree(const whois::ParsedWhois& a, const whois::ParsedWhois& b);
+
+// The gold standard field-level accuracy is scored against: the shared
+// field extractor run with the record's own labels (registrant lines
+// without a sub-label count as kOther), so a disagreement measures
+// labeling errors only.
+whois::ParsedWhois GoldParse(const whois::LabeledRecord& record);
 
 class CascadeParser {
  public:

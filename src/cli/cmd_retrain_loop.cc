@@ -22,41 +22,12 @@
 #include "lifecycle/confidence.h"
 #include "lifecycle/controller.h"
 #include "obs/metrics.h"
-#include "text/line_splitter.h"
 #include "util/checkpoint.h"
 #include "whois/whois_parser.h"
 
 namespace whoiscrf::cli {
 
 namespace {
-
-// Ground-truth ParsedWhois from a labeled record (same construction as
-// the lifecycle gate and bench_cascade).
-whois::ParsedWhois GoldParse(const whois::LabeledRecord& record) {
-  const std::vector<text::Line> lines = text::SplitRecord(record.text);
-  std::vector<whois::Level2Label> subs;
-  for (size_t i = 0; i < record.labels.size(); ++i) {
-    if (record.labels[i] == whois::Level1Label::kRegistrant) {
-      subs.push_back(
-          record.sub_labels[i].value_or(whois::Level2Label::kOther));
-    }
-  }
-  whois::ParsedWhois gold;
-  gold.line_labels = record.labels;
-  whois::ExtractFields(lines, record.labels, subs, gold);
-  return gold;
-}
-
-size_t CountAgreeingKeyFields(const whois::ParsedWhois& a,
-                              const whois::ParsedWhois& b) {
-  const auto va = cascade::KeyFieldValues(a);
-  const auto vb = cascade::KeyFieldValues(b);
-  size_t agree = 0;
-  for (size_t i = 0; i < va.size(); ++i) {
-    if (va[i] == vb[i]) ++agree;
-  }
-  return agree;
-}
 
 // Pre-reads the live model named by an existing state file so the
 // controller can be constructed without retraining; LoadState then
@@ -251,7 +222,8 @@ int CmdRetrainLoop(util::FlagParser& flags) {
     const whois::LabeledRecord& record = domain.thick;
 
     const whois::ParsedWhois parsed = model->Parse(record.text, parse_ws);
-    const size_t agree = CountAgreeingKeyFields(parsed, GoldParse(record));
+    const size_t agree =
+        cascade::CountAgreeingKeyFields(parsed, cascade::GoldParse(record));
     window_agree += agree;
     window_fields += cascade::kNumKeyFields;
 

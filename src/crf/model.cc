@@ -5,6 +5,7 @@
 
 #include "crf/workspace.h"
 #include "text/tokenizer.h"
+#include "util/little_endian.h"
 
 namespace whoiscrf::crf {
 
@@ -15,35 +16,12 @@ constexpr uint32_t kMagic = 0x57435246;  // "WCRF"
 // empty; Load validates its size and skips it, so v1 streams and v2 streams
 // from older writers (which filled it) load to the same model.
 constexpr uint32_t kVersion = 2;
+constexpr std::string_view kLoad = "CrfModel::Load";
 
-void WriteU32(std::ostream& os, uint32_t v) {
-  unsigned char buf[4] = {
-      static_cast<unsigned char>(v), static_cast<unsigned char>(v >> 8),
-      static_cast<unsigned char>(v >> 16), static_cast<unsigned char>(v >> 24)};
-  os.write(reinterpret_cast<const char*>(buf), 4);
-}
-
-uint32_t ReadU32(std::istream& is) {
-  unsigned char buf[4];
-  is.read(reinterpret_cast<char*>(buf), 4);
-  if (!is) throw std::runtime_error("CrfModel::Load: truncated stream");
-  return static_cast<uint32_t>(buf[0]) | (static_cast<uint32_t>(buf[1]) << 8) |
-         (static_cast<uint32_t>(buf[2]) << 16) |
-         (static_cast<uint32_t>(buf[3]) << 24);
-}
-
-void WriteString(std::ostream& os, const std::string& s) {
-  WriteU32(os, static_cast<uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string ReadString(std::istream& is) {
-  const uint32_t len = ReadU32(is);
-  std::string s(len, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(len));
-  if (!is) throw std::runtime_error("CrfModel::Load: truncated stream");
-  return s;
-}
+using util::le::ReadString;
+using util::le::ReadU32;
+using util::le::WriteString;
+using util::le::WriteU32;
 
 }  // namespace
 
@@ -172,38 +150,6 @@ void CrfModel::CompileInto(const text::Tokenizer& tokenizer,
   }
 }
 
-namespace {
-
-// Fans one attribute stream out to several per-model interning sinks.
-class FanoutSink final : public text::AttrSink {
- public:
-  explicit FanoutSink(std::vector<InternSink>& sinks) : sinks_(sinks) {}
-
-  void OnAttr(std::string_view attr, bool transition) override {
-    for (InternSink& sink : sinks_) sink.OnAttr(attr, transition);
-  }
-
- private:
-  std::vector<InternSink>& sinks_;
-};
-
-}  // namespace
-
-void CrfModel::CompileLineMulti(const text::Tokenizer& tokenizer,
-                                const text::Line& line,
-                                std::span<const CrfModel* const> models,
-                                std::span<CompiledItem* const> items,
-                                text::TokenScratch& scratch) {
-  std::vector<InternSink> sinks;
-  sinks.reserve(models.size());
-  for (size_t k = 0; k < models.size(); ++k) {
-    sinks.emplace_back(models[k]->vocab_, models[k]->slot_of_attr_);
-    sinks.back().BeginItem(*items[k]);
-  }
-  FanoutSink fanout(sinks);
-  tokenizer.ExtractTo(line, fanout, scratch);
-}
-
 CrfModel::Scores CrfModel::ComputeScores(const CompiledSequence& seq) const {
   Scores s;
   ComputeScores(seq, s);
@@ -279,26 +225,28 @@ void CrfModel::Save(std::ostream& os) const {
 }
 
 CrfModel CrfModel::Load(std::istream& is) {
-  if (ReadU32(is) != kMagic) {
+  if (ReadU32(is, kLoad) != kMagic) {
     throw std::runtime_error("CrfModel::Load: bad magic");
   }
-  const uint32_t version = ReadU32(is);
+  const uint32_t version = ReadU32(is, kLoad);
   if (version < 1 || version > kVersion) {
     throw std::runtime_error("CrfModel::Load: unsupported version");
   }
-  const uint32_t num_labels = ReadU32(is);
+  const uint32_t num_labels = ReadU32(is, kLoad);
   std::vector<std::string> labels;
   labels.reserve(num_labels);
-  for (uint32_t i = 0; i < num_labels; ++i) labels.push_back(ReadString(is));
+  for (uint32_t i = 0; i < num_labels; ++i) {
+    labels.push_back(ReadString(is, kLoad));
+  }
   text::Vocabulary vocab = text::Vocabulary::Load(is);
-  const uint32_t num_slots = ReadU32(is);
+  const uint32_t num_slots = ReadU32(is, kLoad);
   std::vector<int> slots;
   slots.reserve(num_slots);
   for (uint32_t i = 0; i < num_slots; ++i) {
-    slots.push_back(static_cast<int>(ReadU32(is)));
+    slots.push_back(static_cast<int>(ReadU32(is, kLoad)));
   }
   CrfModel model(std::move(labels), std::move(vocab), std::move(slots));
-  const uint32_t num_weights = ReadU32(is);
+  const uint32_t num_weights = ReadU32(is, kLoad);
   if (num_weights != model.weights_.size()) {
     throw std::runtime_error("CrfModel::Load: weight count mismatch");
   }
@@ -309,7 +257,7 @@ CrfModel CrfModel::Load(std::istream& is) {
     // v2 trailer: the transition-support mask older writers filled for
     // beam decoding (0 or L*L bytes). Nothing reads it any more; check the
     // declared size before skipping so a hostile file cannot claim 4 GiB.
-    const uint32_t support_size = ReadU32(is);
+    const uint32_t support_size = ReadU32(is, kLoad);
     const uint64_t L = num_labels;
     if (support_size != 0 && support_size != L * L) {
       throw std::runtime_error("CrfModel::Load: bad support size");

@@ -86,18 +86,6 @@ class CrfModel {
                    std::span<const text::Line* const> lines,
                    Workspace& ws) const;
 
-  // Compiles ONE line against several models in a single tokenization pass
-  // (the expensive part — word normalization and classification — runs
-  // once; each model interns the same attribute stream against its own
-  // vocabulary). items[k] receives exactly what models[k]'s CompileInto
-  // would produce for this line. Backs the per-line compile cache of the
-  // two-level WHOIS parser.
-  static void CompileLineMulti(const text::Tokenizer& tokenizer,
-                               const text::Line& line,
-                               std::span<const CrfModel* const> models,
-                               std::span<CompiledItem* const> items,
-                               text::TokenScratch& scratch);
-
   // --- Scoring ----------------------------------------------------------
   // Log-potentials for a compiled sequence:
   //   unary[t*L + j]            = sum of unigram weights at t for label j

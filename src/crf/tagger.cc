@@ -62,49 +62,4 @@ TagResult Tagger::TagWithConfidence(
   return result;
 }
 
-const std::vector<int>& Tagger::TagCompiledLabels(Workspace& ws) const {
-  if (ws.seq.empty()) {
-    ws.viterbi.labels.clear();
-    ws.viterbi.score = 0.0;
-    return ws.viterbi.labels;
-  }
-  model_.ComputeScores(ws.seq, ws.scores);
-  return Decode(ws.scores, ws).labels;
-}
-
-const TagResult& Tagger::TagCompiledViterbi(Workspace& ws) const {
-  TagResult& result = ws.tag;
-  result.labels.clear();
-  result.confidences.clear();
-  result.sequence_log_prob = 0.0;
-  if (ws.seq.empty()) return result;
-  model_.ComputeScores(ws.seq, ws.scores);
-  const ViterbiResult& vit = Decode(ws.scores, ws);
-  result.labels.assign(vit.labels.begin(), vit.labels.end());
-  // No backward pass and no marginals: the path's log-probability is one
-  // exp-domain forward pass relative to the path.
-  result.sequence_log_prob = PathLogProb(ws.scores, result.labels, ws);
-  return result;
-}
-
-const TagResult& Tagger::TagCompiled(Workspace& ws) const {
-  TagResult& result = ws.tag;
-  result.labels.clear();
-  result.confidences.clear();
-  result.sequence_log_prob = 0.0;
-  if (ws.seq.empty()) return result;
-  model_.ComputeScores(ws.seq, ws.scores);
-  const ViterbiResult& vit = Decode(ws.scores, ws);
-  const Posteriors& post = ForwardBackward(ws.scores, ws, /*with_edges=*/false);
-  result.labels.assign(vit.labels.begin(), vit.labels.end());
-  result.confidences.reserve(vit.labels.size());
-  for (size_t t = 0; t < vit.labels.size(); ++t) {
-    result.confidences.push_back(
-        post.node[t * static_cast<size_t>(ws.scores.L) +
-                  static_cast<size_t>(vit.labels[t])]);
-  }
-  result.sequence_log_prob = PathLogProb(ws.scores, result.labels, ws);
-  return result;
-}
-
 }  // namespace whoiscrf::crf

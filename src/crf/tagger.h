@@ -8,8 +8,6 @@
 
 namespace whoiscrf::crf {
 
-struct Workspace;  // crf/workspace.h
-
 struct TagResult {
   std::vector<int> labels;          // Viterbi path
   std::vector<double> confidences;  // Pr(y_t = labels[t] | x), per line
@@ -35,24 +33,6 @@ class Tagger {
   // (Figure 2's metric) is what matters.
   TagResult TagPosterior(
       const std::vector<text::LineAttributes>& lines) const;
-
-  // --- Workspace fast path ---------------------------------------------
-  // All three operate on `ws.seq`, which the caller fills first via
-  // CrfModel::CompileInto (with this tagger's model), and allocate nothing
-  // once the workspace has warmed up.
-
-  // Viterbi labels only (what Tag returns). Returns `ws.viterbi.labels`.
-  const std::vector<int>& TagCompiledLabels(Workspace& ws) const;
-
-  // Viterbi labels plus the normalized log-probability of the path
-  // (PathLogProb) — no backward pass, no marginals. `labels` and
-  // `sequence_log_prob` are bit-identical to TagWithConfidence's;
-  // `confidences` is left empty. Returns `ws.tag`.
-  const TagResult& TagCompiledViterbi(Workspace& ws) const;
-
-  // Full TagWithConfidence equivalent (labels, per-line marginal
-  // confidences, sequence log-prob). Returns `ws.tag`.
-  const TagResult& TagCompiled(Workspace& ws) const;
 
   const CrfModel& model() const { return model_; }
 

@@ -19,7 +19,6 @@
 #include "crf/inference.h"
 #include "crf/model.h"
 #include "crf/sequence.h"
-#include "crf/tagger.h"
 #include "crf/viterbi.h"
 #include "text/tokenizer.h"
 
@@ -48,9 +47,6 @@ struct Workspace {
   std::vector<double> viterbi_score;  // T*L best-path scores
   std::vector<int> viterbi_back;      // T*L backpointers
   ViterbiResult viterbi;
-
-  // Tagger output (tagger.h TagCompiled* methods).
-  TagResult tag;
 };
 
 }  // namespace whoiscrf::crf

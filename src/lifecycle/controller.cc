@@ -7,7 +7,6 @@
 
 #include "cascade/cascade.h"
 #include "obs/metrics.h"
-#include "text/line_splitter.h"
 #include "util/checkpoint.h"
 #include "whois/stream_checkpoint.h"
 
@@ -16,34 +15,6 @@ namespace whoiscrf::lifecycle {
 namespace {
 
 constexpr std::string_view kStateTag = "lcs1";
-
-// Ground-truth ParsedWhois from a labeled record, via the shared field
-// extractor (same construction as bench_cascade's gold standard).
-whois::ParsedWhois GoldParse(const whois::LabeledRecord& record) {
-  const std::vector<text::Line> lines = text::SplitRecord(record.text);
-  std::vector<whois::Level2Label> subs;
-  for (size_t i = 0; i < record.labels.size(); ++i) {
-    if (record.labels[i] == whois::Level1Label::kRegistrant) {
-      subs.push_back(
-          record.sub_labels[i].value_or(whois::Level2Label::kOther));
-    }
-  }
-  whois::ParsedWhois gold;
-  gold.line_labels = record.labels;
-  whois::ExtractFields(lines, record.labels, subs, gold);
-  return gold;
-}
-
-size_t CountAgreeingKeyFields(const whois::ParsedWhois& a,
-                              const whois::ParsedWhois& b) {
-  const auto va = cascade::KeyFieldValues(a);
-  const auto vb = cascade::KeyFieldValues(b);
-  size_t agree = 0;
-  for (size_t i = 0; i < va.size(); ++i) {
-    if (va[i] == vb[i]) ++agree;
-  }
-  return agree;
-}
 
 }  // namespace
 
@@ -321,10 +292,10 @@ GateResult LifecycleController::EvaluateGate(
   whois::ParseWorkspace candidate_ws, incumbent_ws;
   size_t candidate_agree = 0, incumbent_agree = 0, total = 0;
   for (const whois::LabeledRecord& record : holdout) {
-    const whois::ParsedWhois gold = GoldParse(record);
-    candidate_agree += CountAgreeingKeyFields(
+    const whois::ParsedWhois gold = cascade::GoldParse(record);
+    candidate_agree += cascade::CountAgreeingKeyFields(
         candidate.Parse(record.text, candidate_ws), gold);
-    incumbent_agree += CountAgreeingKeyFields(
+    incumbent_agree += cascade::CountAgreeingKeyFields(
         incumbent.Parse(record.text, incumbent_ws), gold);
     total += cascade::kNumKeyFields;
   }

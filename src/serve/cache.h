@@ -24,6 +24,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/little_endian.h"
+
 namespace whoiscrf::serve {
 
 class ResultCache {
@@ -70,9 +72,7 @@ class ResultCache {
 
   static void AppendVersionSuffix(std::string& key, uint64_t version) {
     char suffix[sizeof(uint64_t)];
-    for (size_t i = 0; i < sizeof(uint64_t); ++i) {
-      suffix[i] = static_cast<char>((version >> (8 * i)) & 0xFF);
-    }
+    util::le::PutU64(suffix, version);
     key.append(suffix, sizeof(suffix));
   }
   static void StripVersionSuffix(std::string& key) {

@@ -15,24 +15,11 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "util/little_endian.h"
 
 namespace whoiscrf::serve {
 
 namespace {
-
-void PutU32Le(uint32_t v, char out[4]) {
-  out[0] = static_cast<char>(v & 0xff);
-  out[1] = static_cast<char>((v >> 8) & 0xff);
-  out[2] = static_cast<char>((v >> 16) & 0xff);
-  out[3] = static_cast<char>((v >> 24) & 0xff);
-}
-
-uint32_t GetU32Le(const char in[4]) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(in[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(in[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(in[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(in[3])) << 24;
-}
 
 [[noreturn]] void ThrowErrno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " +
@@ -261,7 +248,7 @@ void FrameConn::DispatchFrames() {
   while (!closed_ && !refuse_input_ && !paused_) {
     const size_t avail = inbuf_.size() - in_off_;
     if (avail < 4) break;
-    const uint32_t len = GetU32Le(inbuf_.data() + in_off_);
+    const uint32_t len = util::le::GetU32(inbuf_.data() + in_off_);
     if (len > options_.max_frame_bytes) {
       if (options_.response_stream) {
         // A backend speaking garbage; nothing to salvage.
@@ -319,7 +306,7 @@ void FrameConn::CompleteSlot(uint64_t seq, Status status, std::string body) {
   while (!slots_.empty() && slots_.front().done) {
     Slot& front = slots_.front();
     char head[5];
-    PutU32Le(static_cast<uint32_t>(front.body.size() + 1), head);
+    util::le::PutU32(head, static_cast<uint32_t>(front.body.size() + 1));
     head[4] = static_cast<char>(front.status);
     outbuf_.append(head, 5);
     outbuf_.append(front.body);
@@ -336,7 +323,7 @@ void FrameConn::CompleteSlot(uint64_t seq, Status status, std::string body) {
 void FrameConn::SendRequestFrame(std::string_view payload) {
   if (closed_) return;
   char head[4];
-  PutU32Le(static_cast<uint32_t>(payload.size()), head);
+  util::le::PutU32(head, static_cast<uint32_t>(payload.size()));
   outbuf_.append(head, 4);
   outbuf_.append(payload);
   NoteWriteBytes(static_cast<int64_t>(4 + payload.size()));

@@ -4,23 +4,11 @@
 
 #include <cstring>
 
+#include "util/little_endian.h"
+
 namespace whoiscrf::serve {
 
 namespace {
-
-void PutU32Le(uint32_t v, char out[4]) {
-  out[0] = static_cast<char>(v & 0xff);
-  out[1] = static_cast<char>((v >> 8) & 0xff);
-  out[2] = static_cast<char>((v >> 16) & 0xff);
-  out[3] = static_cast<char>((v >> 24) & 0xff);
-}
-
-uint32_t GetU32Le(const char in[4]) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(in[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(in[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(in[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(in[3])) << 24;
-}
 
 // Reads a frame whose payload is (prefix bytes + body): the request path
 // passes prefix 0, the response path peels one status byte first.
@@ -31,7 +19,7 @@ FrameRead ReadPayload(FrameStream& in, std::string& body, size_t max_bytes,
   // alone, then require the rest.
   if (!in.ReadExact(len_bytes, 1)) return FrameRead::kEof;
   if (!in.ReadExact(len_bytes + 1, 3)) return FrameRead::kTruncated;
-  const uint32_t len = GetU32Le(len_bytes);
+  const uint32_t len = util::le::GetU32(len_bytes);
   if (len < prefix_len) return FrameRead::kTruncated;
   if (len > max_bytes) return FrameRead::kTooLarge;
   if (prefix_len > 0 && !in.ReadExact(prefix, prefix_len)) {
@@ -103,14 +91,14 @@ FrameRead ReadFrame(FrameStream& in, std::string& payload, size_t max_bytes) {
 
 bool WriteFrame(FrameStream& out, std::string_view payload) {
   char len_bytes[4];
-  PutU32Le(static_cast<uint32_t>(payload.size()), len_bytes);
+  util::le::PutU32(len_bytes, static_cast<uint32_t>(payload.size()));
   return out.WriteAll(len_bytes, 4) &&
          (payload.empty() || out.WriteAll(payload.data(), payload.size()));
 }
 
 bool WriteResponse(FrameStream& out, Status status, std::string_view body) {
   char head[5];
-  PutU32Le(static_cast<uint32_t>(body.size() + 1), head);
+  util::le::PutU32(head, static_cast<uint32_t>(body.size() + 1));
   head[4] = static_cast<char>(status);
   return out.WriteAll(head, 5) &&
          (body.empty() || out.WriteAll(body.data(), body.size()));

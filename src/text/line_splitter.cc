@@ -108,15 +108,4 @@ void SplitRecordInto(std::string_view record, std::vector<Line>& out) {
   out.resize(used);
 }
 
-std::vector<Line> AnnotateLines(std::span<const std::string> raw_lines) {
-  std::vector<Line> out;
-  LayoutState state;
-  size_t used = 0;
-  for (size_t raw = 0; raw < raw_lines.size(); ++raw) {
-    FeedLine(raw_lines[raw], raw, state, out, used);
-  }
-  out.resize(used);
-  return out;
-}
-
 }  // namespace whoiscrf::text

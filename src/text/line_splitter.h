@@ -6,7 +6,6 @@
 // (NL, SYM, SHL, ...) on the following labeled line.
 #pragma once
 
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,13 +34,6 @@ std::vector<Line> SplitRecord(std::string_view record);
 // (including their string capacity) across records. Produces exactly what
 // SplitRecord returns.
 void SplitRecordInto(std::string_view record, std::vector<Line>& out);
-
-// Runs the same layout state machine over lines that are already split
-// (e.g. the raw lines of a labeled training record), without re-joining
-// them into one buffer first. Equivalent to
-// SplitRecord(Join(raw_lines, "\n")) as long as no element contains a
-// newline — which is true of anything produced by a line split.
-std::vector<Line> AnnotateLines(std::span<const std::string> raw_lines);
 
 // True if the line would be labeled (contains an alphanumeric character).
 bool IsLabeledLine(std::string_view line);

@@ -5,27 +5,9 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/little_endian.h"
+
 namespace whoiscrf::text {
-
-namespace {
-
-void WriteU32(std::ostream& os, uint32_t v) {
-  unsigned char buf[4] = {
-      static_cast<unsigned char>(v), static_cast<unsigned char>(v >> 8),
-      static_cast<unsigned char>(v >> 16), static_cast<unsigned char>(v >> 24)};
-  os.write(reinterpret_cast<const char*>(buf), 4);
-}
-
-uint32_t ReadU32(std::istream& is) {
-  unsigned char buf[4];
-  is.read(reinterpret_cast<char*>(buf), 4);
-  if (!is) throw std::runtime_error("Vocabulary::Load: truncated stream");
-  return static_cast<uint32_t>(buf[0]) | (static_cast<uint32_t>(buf[1]) << 8) |
-         (static_cast<uint32_t>(buf[2]) << 16) |
-         (static_cast<uint32_t>(buf[3]) << 24);
-}
-
-}  // namespace
 
 void Vocabulary::Count(std::string_view attr) {
   if (frozen_) {
@@ -73,23 +55,18 @@ const std::string& Vocabulary::Name(int id) const {
 
 void Vocabulary::Save(std::ostream& os) const {
   if (!frozen_) throw std::logic_error("Vocabulary::Save before Freeze");
-  WriteU32(os, static_cast<uint32_t>(names_.size()));
-  for (const std::string& name : names_) {
-    WriteU32(os, static_cast<uint32_t>(name.size()));
-    os.write(name.data(), static_cast<std::streamsize>(name.size()));
-  }
+  util::le::WriteU32(os, static_cast<uint32_t>(names_.size()));
+  for (const std::string& name : names_) util::le::WriteString(os, name);
 }
 
 Vocabulary Vocabulary::Load(std::istream& is) {
+  constexpr std::string_view kLoad = "Vocabulary::Load";
   Vocabulary v;
-  const uint32_t n = ReadU32(is);
+  const uint32_t n = util::le::ReadU32(is, kLoad);
   v.names_.reserve(n);
   v.ids_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t len = ReadU32(is);
-    std::string name(len, '\0');
-    is.read(name.data(), static_cast<std::streamsize>(len));
-    if (!is) throw std::runtime_error("Vocabulary::Load: truncated stream");
+    std::string name = util::le::ReadString(is, kLoad);
     v.ids_.emplace(name, static_cast<int>(v.names_.size()));
     v.names_.push_back(std::move(name));
   }

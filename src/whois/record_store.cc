@@ -11,27 +11,12 @@
 #include <stdexcept>
 
 #include "util/checkpoint.h"
+#include "util/little_endian.h"
 #include "util/string_util.h"
 
 namespace whoiscrf::whois {
 
 namespace {
-
-uint32_t LoadU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
 
 std::runtime_error SysError(const char* what) {
   return std::runtime_error(std::string("record store: ") + what + ": " +
@@ -65,7 +50,7 @@ void PreadExact(int fd, char* out, size_t n, uint64_t offset) {
 // A record's span is its length word and bytes, bounded by the index; the
 // length word must fill it exactly.
 void CheckLengthWord(const char* span, uint64_t span_bytes) {
-  if (LoadU32(span) != span_bytes - 4) {
+  if (util::le::GetU32(span) != span_bytes - 4) {
     throw std::runtime_error("record store: length word disagrees with index");
   }
 }
@@ -140,13 +125,13 @@ void RecordStoreWriter::Put(const char* data, size_t n) {
 
 void RecordStoreWriter::PutU32(uint32_t v) {
   char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>(v >> (8 * i));
+  util::le::PutU32(b, v);
   Put(b, 4);
 }
 
 void RecordStoreWriter::PutU64(uint64_t v) {
   char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
+  util::le::PutU64(b, v);
   Put(b, 8);
 }
 
@@ -294,8 +279,8 @@ void RecordStoreWriter::ResumeShard(const StoreCursor& resume_from) {
   };
   char header[8];
   if (end < 8 || !read_at(0, header, 8) ||
-      LoadU32(header) != kRecordStoreMagic ||
-      LoadU32(header + 4) != kRecordStoreVersion) {
+      util::le::GetU32(header) != kRecordStoreMagic ||
+      util::le::GetU32(header + 4) != kRecordStoreVersion) {
     throw std::runtime_error("record store resume: bad header in " + tmp);
   }
   offsets_.clear();
@@ -305,7 +290,7 @@ void RecordStoreWriter::ResumeShard(const StoreCursor& resume_from) {
     if (off + 4 > end || !read_at(off, len_bytes, 4)) {
       throw std::runtime_error("record store resume: truncated shard " + tmp);
     }
-    const uint32_t len = LoadU32(len_bytes);
+    const uint32_t len = util::le::GetU32(len_bytes);
     if (off + 4 + len > end) {
       throw std::runtime_error("record store resume: record overruns cursor " +
                                tmp);
@@ -384,13 +369,13 @@ void RecordStoreReader::Shard::LoadIndex(const std::string& path) {
   PreadExact(fd, header, 8, 0);
   char footer[20];
   PreadExact(fd, footer, 20, file_size - 20);
-  if (LoadU32(header) != kRecordStoreMagic ||
-      LoadU32(header + 4) != kRecordStoreVersion ||
-      LoadU32(footer + 16) != kRecordStoreMagic) {
+  if (util::le::GetU32(header) != kRecordStoreMagic ||
+      util::le::GetU32(header + 4) != kRecordStoreVersion ||
+      util::le::GetU32(footer + 16) != kRecordStoreMagic) {
     throw std::runtime_error("record store: bad magic in " + path);
   }
-  const uint64_t count = LoadU64(footer);
-  index_offset = LoadU64(footer + 8);
+  const uint64_t count = util::le::GetU64(footer);
+  index_offset = util::le::GetU64(footer + 8);
   if (count > (file_size - 28) / 8 ||
       index_offset != file_size - 20 - count * 8) {
     throw std::runtime_error("record store: inconsistent index in " + path);
@@ -403,7 +388,7 @@ void RecordStoreReader::Shard::LoadIndex(const std::string& path) {
   PreadExact(fd, raw, count * 8, index_offset);
   uint64_t next = 8;
   for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t offset = LoadU64(raw + i * 8);
+    const uint64_t offset = util::le::GetU64(raw + i * 8);
     if (offset < next || offset > index_offset - 4) {
       throw std::runtime_error("record store: inconsistent index in " + path);
     }

@@ -14,6 +14,7 @@
 #include "text/word_classes.h"
 #include "util/byte_scan.h"
 #include "util/key_hash.h"
+#include "util/little_endian.h"
 #include "util/string_util.h"
 
 namespace whoiscrf::whois {
@@ -26,43 +27,16 @@ namespace {
 // options, preserving compatibility with old model files.
 constexpr uint32_t kParserMagic = 0x53525057;  // "WPRS"
 constexpr uint32_t kParserVersion = 1;
+constexpr std::string_view kLoad = "WhoisParser::Load";
+
+using util::le::ReadF64;
+using util::le::ReadU32;
+using util::le::WriteF64;
+using util::le::WriteU32;
 
 constexpr uint32_t kTokWordClasses = 1u << 0;
 constexpr uint32_t kTokLayoutMarkers = 1u << 1;
 constexpr uint32_t kTokSeparatorMarkers = 1u << 2;
-
-void WriteU32(std::ostream& os, uint32_t v) {
-  unsigned char buf[4] = {
-      static_cast<unsigned char>(v), static_cast<unsigned char>(v >> 8),
-      static_cast<unsigned char>(v >> 16), static_cast<unsigned char>(v >> 24)};
-  os.write(reinterpret_cast<const char*>(buf), 4);
-}
-
-uint32_t ReadU32(std::istream& is) {
-  unsigned char buf[4];
-  is.read(reinterpret_cast<char*>(buf), 4);
-  if (!is) throw std::runtime_error("WhoisParser::Load: truncated stream");
-  return static_cast<uint32_t>(buf[0]) | (static_cast<uint32_t>(buf[1]) << 8) |
-         (static_cast<uint32_t>(buf[2]) << 16) |
-         (static_cast<uint32_t>(buf[3]) << 24);
-}
-
-void WriteF64(std::ostream& os, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  WriteU32(os, static_cast<uint32_t>(bits));
-  WriteU32(os, static_cast<uint32_t>(bits >> 32));
-}
-
-double ReadF64(std::istream& is) {
-  const uint64_t lo = ReadU32(is);
-  const uint64_t hi = ReadU32(is);
-  const uint64_t bits = lo | (hi << 32);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
 
 // Title/value split with fallback: lines without a separator are all
 // value. Fills `title` lower-cased (allocation-free once it has capacity)
@@ -874,32 +848,7 @@ WhoisParser WhoisParser::Adapt(
 
 std::vector<Level1Label> WhoisParser::LabelLines(
     std::string_view record_text) const {
-  const auto lines = text::SplitRecord(record_text);
-  std::vector<text::LineAttributes> attrs;
-  attrs.reserve(lines.size());
-  for (const auto& line : lines) attrs.push_back(tokenizer_.Extract(line));
-  const crf::Tagger tagger(*level1_);
-  std::vector<Level1Label> out;
-  for (int label : tagger.Tag(attrs)) {
-    out.push_back(static_cast<Level1Label>(label));
-  }
-  return out;
-}
-
-std::vector<Level2Label> WhoisParser::LabelRegistrantLines(
-    const std::vector<std::string>& raw_lines) const {
-  // Re-derive layout context within the registrant block only — directly
-  // over the lines we already have, without re-joining and re-splitting.
-  const auto lines = text::AnnotateLines(raw_lines);
-  std::vector<text::LineAttributes> attrs;
-  attrs.reserve(lines.size());
-  for (const auto& line : lines) attrs.push_back(tokenizer_.Extract(line));
-  const crf::Tagger tagger(*level2_);
-  std::vector<Level2Label> out;
-  for (int label : tagger.Tag(attrs)) {
-    out.push_back(static_cast<Level2Label>(label));
-  }
-  return out;
+  return Parse(record_text).line_labels;
 }
 
 ParsedWhois WhoisParser::Parse(std::string_view record_text) const {
@@ -1224,21 +1173,21 @@ void WhoisParser::Save(std::ostream& os) const {
 WhoisParser WhoisParser::Load(std::istream& is) {
   WhoisParserOptions options;
   const std::istream::pos_type start = is.tellg();
-  if (ReadU32(is) == kParserMagic) {
-    const uint32_t version = ReadU32(is);
+  if (ReadU32(is, kLoad) == kParserMagic) {
+    const uint32_t version = ReadU32(is, kLoad);
     if (version != kParserVersion) {
       throw std::runtime_error("WhoisParser::Load: unsupported version");
     }
-    options.tokenizer.max_word_length = ReadU32(is);
-    const uint32_t tok_flags = ReadU32(is);
+    options.tokenizer.max_word_length = ReadU32(is, kLoad);
+    const uint32_t tok_flags = ReadU32(is, kLoad);
     options.tokenizer.word_classes = (tok_flags & kTokWordClasses) != 0;
     options.tokenizer.layout_markers = (tok_flags & kTokLayoutMarkers) != 0;
     options.tokenizer.separator_markers =
         (tok_flags & kTokSeparatorMarkers) != 0;
-    options.trainer.min_attr_count = ReadU32(is);
-    options.trainer.l2_sigma = ReadF64(is);
-    options.trainer.use_observed_transitions = ReadU32(is) != 0;
-    options.trainer.algorithm = static_cast<crf::Algorithm>(ReadU32(is));
+    options.trainer.min_attr_count = ReadU32(is, kLoad);
+    options.trainer.l2_sigma = ReadF64(is, kLoad);
+    options.trainer.use_observed_transitions = ReadU32(is, kLoad) != 0;
+    options.trainer.algorithm = static_cast<crf::Algorithm>(ReadU32(is, kLoad));
   } else {
     // Legacy stream: two bare CrfModels, written before the parser header
     // existed. Rewind and load with default options.

@@ -356,12 +356,9 @@ class WhoisParser {
   // equivalence.
   ParsedWhois ParseNaive(std::string_view record_text) const;
 
-  // Level-1 labels only (used by the evaluation harness).
+  // Level-1 labels only: Parse(record_text).line_labels, so the §5
+  // evaluation harness scores exactly what production parsing emits.
   std::vector<Level1Label> LabelLines(std::string_view record_text) const;
-
-  // Level-2 labels for a list of registrant-block lines.
-  std::vector<Level2Label> LabelRegistrantLines(
-      const std::vector<std::string>& lines) const;
 
   // --- Persistence ------------------------------------------------------
   void Save(std::ostream& os) const;

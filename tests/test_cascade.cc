@@ -15,7 +15,6 @@
 #include "cascade/cascade.h"
 #include "datagen/corpus_gen.h"
 #include "obs/metrics.h"
-#include "text/line_splitter.h"
 #include "whois/record.h"
 #include "whois/whois_parser.h"
 
@@ -80,32 +79,6 @@ std::vector<LabeledRecord> HandCorpus() {
        Level2Label::kEmail},
   }));
   return corpus;
-}
-
-// Gold key fields for accuracy scoring: extract with the record's own
-// labels (the same field extractor every parser shares).
-ParsedWhois GoldParse(const LabeledRecord& record) {
-  const auto lines = text::SplitRecord(record.text);
-  std::vector<Level2Label> subs;
-  for (size_t i = 0; i < record.labels.size(); ++i) {
-    if (record.labels[i] == Level1Label::kRegistrant) {
-      subs.push_back(record.sub_labels[i].value_or(Level2Label::kOther));
-    }
-  }
-  ParsedWhois gold;
-  gold.line_labels = record.labels;
-  whois::ExtractFields(lines, record.labels, subs, gold);
-  return gold;
-}
-
-size_t CountAgreeingKeyFields(const ParsedWhois& a, const ParsedWhois& b) {
-  const auto va = KeyFieldValues(a);
-  const auto vb = KeyFieldValues(b);
-  size_t agree = 0;
-  for (size_t i = 0; i < va.size(); ++i) {
-    if (va[i] == vb[i]) ++agree;
-  }
-  return agree;
 }
 
 class CascadeTest : public ::testing::Test {

@@ -182,7 +182,7 @@ TEST(JsonWriterTest, NestsToMaxDepthThenThrows) {
     const bool inner = d + 1 < kDepth;  // room for one more level
     if (d % 2 == 0) {
       json.BeginArray().Int(d);
-      want += "[" + std::to_string(d) + ",";
+      want.append("[").append(std::to_string(d)).append(",");
       if (inner) {
         json.BeginArray().EndArray();
         want += "[],";
@@ -203,7 +203,7 @@ TEST(JsonWriterTest, NestsToMaxDepthThenThrows) {
   for (int d = kDepth - 1; d >= 0; --d) {
     if (d % 2 == 0) {
       json.Int(d).EndArray();
-      want += "," + std::to_string(d) + "]";
+      want.append(",").append(std::to_string(d)).append("]");
     } else {
       json.EndObject();
       want += "}";

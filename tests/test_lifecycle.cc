@@ -149,34 +149,6 @@ whois::WhoisParser TrainOn(const std::vector<LabeledRecord>& corpus) {
   return whois::WhoisParser::Train(corpus, options);
 }
 
-// Gold key fields via the record's own labels — the same extractor every
-// parser shares, so disagreement measures labeling errors only.
-whois::ParsedWhois GoldParse(const LabeledRecord& record) {
-  const auto lines = text::SplitRecord(record.text);
-  std::vector<whois::Level2Label> subs;
-  for (size_t i = 0; i < record.labels.size(); ++i) {
-    if (record.labels[i] == whois::Level1Label::kRegistrant) {
-      subs.push_back(
-          record.sub_labels[i].value_or(whois::Level2Label::kOther));
-    }
-  }
-  whois::ParsedWhois gold;
-  gold.line_labels = record.labels;
-  whois::ExtractFields(lines, record.labels, subs, gold);
-  return gold;
-}
-
-size_t CountAgreeingKeyFields(const whois::ParsedWhois& a,
-                              const whois::ParsedWhois& b) {
-  const auto va = cascade::KeyFieldValues(a);
-  const auto vb = cascade::KeyFieldValues(b);
-  size_t agree = 0;
-  for (size_t i = 0; i < va.size(); ++i) {
-    if (va[i] == vb[i]) ++agree;
-  }
-  return agree;
-}
-
 std::string MakeTempDir() {
   std::string path = ::testing::TempDir() + "whoiscrf-lifecycle-XXXXXX";
   if (mkdtemp(path.data()) == nullptr) {
@@ -691,8 +663,9 @@ TEST_F(LifecycleControllerTest, ClosedLoopRecoversPostDriftAccuracy) {
     size_t agree = 0, total = 0;
     for (size_t i = begin; i < end; ++i) {
       const LabeledRecord record = gen_->Generate(i).thick;
-      const whois::ParsedWhois gold = GoldParse(record);
-      agree += CountAgreeingKeyFields(parser.Parse(record.text, ws), gold);
+      const whois::ParsedWhois gold = cascade::GoldParse(record);
+      agree +=
+          cascade::CountAgreeingKeyFields(parser.Parse(record.text, ws), gold);
       total += cascade::kNumKeyFields;
     }
     return static_cast<double>(agree) / static_cast<double>(total);
@@ -701,10 +674,11 @@ TEST_F(LifecycleControllerTest, ClosedLoopRecoversPostDriftAccuracy) {
   bool alarmed = false;
   for (size_t i = kEventAt; i < kEventAt + 96; ++i) {
     const LabeledRecord record = gen_->Generate(i).thick;
-    const whois::ParsedWhois gold = GoldParse(record);
+    const whois::ParsedWhois gold = cascade::GoldParse(record);
     const bool wrong =
-        CountAgreeingKeyFields(controller.Current()->Parse(record.text, ws),
-                               gold) < cascade::kNumKeyFields;
+        cascade::CountAgreeingKeyFields(
+            controller.Current()->Parse(record.text, ws), gold) <
+        cascade::kNumKeyFields;
     Observation obs;
     obs.registrar = gen_->Generate(i).facts.registrar_name;
     obs.shadow_sampled = true;

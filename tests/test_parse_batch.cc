@@ -147,17 +147,6 @@ TEST_F(ParseBatchTest, FusedCompileMatchesExtractCompile) {
       for (size_t t = 0; t < classic.size(); ++t) {
         EXPECT_EQ(ws.seq[t].attrs, classic[t].attrs) << "ptr line " << t;
       }
-      // CompileLineMulti against this single model matches as well.
-      crf::CompiledItem item;
-      crf::CompiledItem* items[1] = {&item};
-      const crf::CrfModel* models[1] = {model};
-      for (size_t t = 0; t < lines.size(); ++t) {
-        crf::CrfModel::CompileLineMulti(tokenizer, lines[t], models, items,
-                                        ws.token_scratch);
-        EXPECT_EQ(item.attrs, classic[t].attrs) << "multi line " << t;
-        EXPECT_EQ(item.trans_slots, classic[t].trans_slots)
-            << "multi line " << t;
-      }
     }
   }
 }
@@ -312,9 +301,11 @@ TEST_F(ParseBatchTest, TitleAndTransitionMemosKeepOutputIdentical) {
               0, static_cast<int64_t>(first_words.size()) - 1))];
       std::string title = first;
       if (rng.Bernoulli(0.7)) {
-        title += std::string(" ") + kSecondWords[rng.UniformInt(0, 7)];
+        title.append(" ").append(kSecondWords[rng.UniformInt(0, 7)]);
       }
-      if (rng.Bernoulli(0.4)) title += " " + std::to_string(rng.UniformInt(0, 999));
+      if (rng.Bernoulli(0.4)) {
+        title.append(" ").append(std::to_string(rng.UniformInt(0, 999)));
+      }
       std::string value;
       switch (rng.UniformInt(0, 5)) {
         case 0: break;  // empty value
@@ -628,31 +619,6 @@ TEST_F(ParseBatchTest, LoadsLegacyStreamsWithoutParserHeader) {
   for (size_t i = 950; i < 960; ++i) {
     const std::string text = generator_->Generate(i).thick.text;
     EXPECT_EQ(ToJson(loaded.Parse(text)), ToJson(parser_->Parse(text)));
-  }
-}
-
-TEST(AnnotateLinesTest, MatchesJoinThenSplitRecord) {
-  const std::vector<std::string> raw_lines = {
-      "Registrant Name: John Smith",
-      "",
-      "   Registrant Street: 1 Main St",
-      "\tRegistrant City: Springfield",
-      "-----",
-      "Registrant Country: US",
-  };
-  const auto annotated = text::AnnotateLines(raw_lines);
-  const auto split = text::SplitRecord(util::Join(raw_lines, "\n"));
-  ASSERT_EQ(annotated.size(), split.size());
-  for (size_t i = 0; i < split.size(); ++i) {
-    EXPECT_EQ(annotated[i].text, split[i].text);
-    EXPECT_EQ(annotated[i].index, split[i].index);
-    EXPECT_EQ(annotated[i].raw_index, split[i].raw_index);
-    EXPECT_EQ(annotated[i].preceded_by_blank, split[i].preceded_by_blank);
-    EXPECT_EQ(annotated[i].shift_left, split[i].shift_left);
-    EXPECT_EQ(annotated[i].shift_right, split[i].shift_right);
-    EXPECT_EQ(annotated[i].starts_with_symbol, split[i].starts_with_symbol);
-    EXPECT_EQ(annotated[i].has_tab, split[i].has_tab);
-    EXPECT_EQ(annotated[i].indent, split[i].indent);
   }
 }
 

@@ -1,10 +1,16 @@
-// Utility layer: string helpers, deterministic RNG, tables, thread pool.
+// Utility layer: string helpers, deterministic RNG, tables, thread pool,
+// little-endian codec.
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "util/env.h"
+#include "util/little_endian.h"
 #include "util/random.h"
 #include "util/string_util.h"
 #include "util/table.h"
@@ -251,6 +257,61 @@ TEST(EnvTest, ScaledAppliesFloor) {
   EXPECT_EQ(Scaled(0, 5), 5u);
   EXPECT_EQ(EnvInt("WHOISCRF_NONEXISTENT_VAR", 7), 7);
   EXPECT_EQ(EnvString("WHOISCRF_NONEXISTENT_VAR", "x"), "x");
+}
+
+TEST(LittleEndianTest, PinsKnownBytes) {
+  char b4[4];
+  le::PutU32(b4, 0x01020304u);
+  EXPECT_EQ(std::string(b4, 4), std::string("\x04\x03\x02\x01", 4));
+  EXPECT_EQ(le::GetU32(b4), 0x01020304u);
+
+  char b8[8];
+  le::PutU64(b8, 0x0102030405060708ull);
+  EXPECT_EQ(std::string(b8, 8),
+            std::string("\x08\x07\x06\x05\x04\x03\x02\x01", 8));
+  EXPECT_EQ(le::GetU64(b8), 0x0102030405060708ull);
+  le::PutU64(b8, 0xF0E0D0C0B0A09080ull);  // high bits survive the char cast
+  EXPECT_EQ(le::GetU64(b8), 0xF0E0D0C0B0A09080ull);
+
+  // Streams carry the same bytes; a double is the u64 of its bits.
+  std::stringstream ss;
+  le::WriteU32(ss, 0x01020304u);
+  le::WriteF64(ss, 1.0);  // 0x3FF0000000000000
+  le::WriteString(ss, "ab");
+  EXPECT_EQ(ss.str(), std::string("\x04\x03\x02\x01"
+                                  "\x00\x00\x00\x00\x00\x00\xF0\x3F"
+                                  "\x02\x00\x00\x00"
+                                  "ab",
+                                  18));
+}
+
+TEST(LittleEndianTest, StreamRoundTripAndTruncation) {
+  const double values[] = {0.0, -0.0, 3.141592653589793, -1e-300,
+                           std::numeric_limits<double>::infinity()};
+  std::stringstream ss;
+  le::WriteU64(ss, 0xFFFFFFFFFFFFFFFEull);
+  for (double v : values) le::WriteF64(ss, v);
+  le::WriteString(ss, "");
+  le::WriteString(ss, "whois");
+  EXPECT_EQ(le::ReadU64(ss, "test"), 0xFFFFFFFFFFFFFFFEull);
+  for (double v : values) {
+    const double got = le::ReadF64(ss, "test");
+    EXPECT_EQ(got, v);
+    EXPECT_EQ(std::signbit(got), std::signbit(v));
+  }
+  EXPECT_EQ(le::ReadString(ss, "test"), "");
+  EXPECT_EQ(le::ReadString(ss, "test"), "whois");
+
+  // A short read throws with the caller's context.
+  std::stringstream shortstream(std::string("\x01\x02", 2));
+  try {
+    le::ReadU32(shortstream, "Thing::Load");
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "Thing::Load: truncated stream");
+  }
+  std::stringstream short_string(std::string("\x05\x00\x00\x00" "abc", 7));
+  EXPECT_THROW(le::ReadString(short_string, "x"), std::runtime_error);
 }
 
 }  // namespace

@@ -202,26 +202,6 @@ TEST_F(WhoisParserSmallCorpusTest, SaveLoadPreservesBehavior) {
   }
 }
 
-TEST_F(WhoisParserSmallCorpusTest, LabelRegistrantLinesRefinesSubfields) {
-  // Hand the level-2 tagger a registrant block and check field routing.
-  const std::vector<std::string> block = {
-      "Registrant Name: Carol Baker",
-      "Registrant Street: 12 Oak Ave",
-      "Registrant City: Denver",
-      "Registrant Postal Code: 80201",
-      "Registrant Country: US",
-      "Registrant Email: carol@example.org",
-  };
-  const auto subs = parser_->LabelRegistrantLines(block);
-  ASSERT_EQ(subs.size(), block.size());
-  EXPECT_EQ(subs[0], Level2Label::kName);
-  EXPECT_EQ(subs[1], Level2Label::kStreet);
-  EXPECT_EQ(subs[2], Level2Label::kCity);
-  EXPECT_EQ(subs[3], Level2Label::kPostcode);
-  EXPECT_EQ(subs[4], Level2Label::kCountry);
-  EXPECT_EQ(subs[5], Level2Label::kEmail);
-}
-
 TEST_F(WhoisParserSmallCorpusTest, ExtractsOtherContactAsProxy) {
   // A record whose registrant block is absent: the admin contact serves as
   // the registrant proxy (§3.2).
