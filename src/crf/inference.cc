@@ -1,5 +1,6 @@
 #include "crf/inference.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -24,6 +25,12 @@ double LogSumExp(const double* v, int n) {
 }
 
 namespace {
+
+// The running sum of PathLogProb is kept inside [2^-512, 2^512], far from
+// both ends of double's range, so one step's factors cannot leave it.
+// ForwardBackward's product of scale mantissas is renormalized below 2^-512.
+constexpr double kRescaleHigh = 0x1p512;
+constexpr double kRescaleLow = 0x1p-512;
 
 // Forward recursion: alpha[t*L+j] = log sum over paths ending in j at t.
 // `scratch` is an L-wide log-sum-exp buffer supplied by the caller.
@@ -91,8 +98,159 @@ Posteriors ForwardBackward(const CrfModel::Scores& s) {
   return std::move(ws.post);
 }
 
+namespace {
+
+// Sizes `p` for T positions; edge row t=0 is zero, rows t >= 1 are written
+// by the caller.
+Posteriors& ResetPosteriors(Posteriors& p, int T, int L, bool with_edges) {
+  const size_t LL = static_cast<size_t>(L) * L;
+  p.T = T;
+  p.L = L;
+  p.node.resize(static_cast<size_t>(T) * L);
+  if (with_edges) {
+    p.edge.resize(static_cast<size_t>(T) * LL);
+    std::fill_n(p.edge.begin(), LL, 0.0);
+  } else {
+    p.edge.clear();
+  }
+  return p;
+}
+
+// The scaled exp-domain recursion (Rabiner scaling). Position t's unary
+// factors are e_t[j] = exp(u_t[j] - m_t) with m_t = max_j u_t[j], and its
+// pairwise block is E_t = exp(PairRow(t)). Each forward row is normalized to
+// sum to 1 by its scale c_t, so
+//   alpha_t = e_t * (alpha_{t-1} E_t) / c_t,   log Z = sum_t (m_t + log c_t),
+// and the backward rows reuse the same scales:
+//   beta_{t-1} = E_t (e_t * beta_t) / c_t,     beta_{T-1} = 1.
+// Then Pr(y_t = j) = alpha_t[j] beta_t[j] and the edge marginals are
+// alpha_{t-1}[i] E_t[i][j] e_t[j] beta_t[j] / c_t. Returns false, leaving
+// the posteriors partly written, if a scale is zero or not finite, a
+// backward row overflows, or log Z is not finite; the caller then reruns
+// the sequence in the log domain.
+bool ScaledForwardBackward(const CrfModel::Scores& s, Workspace& ws,
+                           bool with_edges) {
+  const int T = s.T;
+  const int L = s.L;
+  const size_t LL = static_cast<size_t>(L) * L;
+  const bool own_exp = s.exp_pair_rows.empty();
+  if (own_exp) {
+    ws.exp_pair.resize(static_cast<size_t>(T) * LL);
+    for (int t = 1; t < T; ++t) {
+      const double* row = s.PairRow(t);
+      double* out = &ws.exp_pair[static_cast<size_t>(t) * LL];
+      for (size_t ij = 0; ij < LL; ++ij) out[ij] = std::exp(row[ij]);
+    }
+  }
+  const auto exp_row = [&](int t) {
+    return own_exp ? &ws.exp_pair[static_cast<size_t>(t) * LL]
+                   : s.exp_pair_rows[static_cast<size_t>(t)];
+  };
+
+  ws.exp_unary.resize(static_cast<size_t>(T) * L);
+  ws.alpha.resize(static_cast<size_t>(T) * L);
+  ws.scales.resize(static_cast<size_t>(T));
+  // log Z = shift + log(prod) + exponent * ln 2, where prod keeps the
+  // product of the scales' mantissas inside [2^-512, 1].
+  double shift = 0.0;
+  double prod = 1.0;
+  int exponent = 0;
+  for (int t = 0; t < T; ++t) {
+    const double* u = &s.unary[static_cast<size_t>(t) * L];
+    double m = u[0];
+    for (int j = 1; j < L; ++j) m = u[j] > m ? u[j] : m;
+    double* e = &ws.exp_unary[static_cast<size_t>(t) * L];
+    // exp(0) is exactly 1, as in LogSumExp.
+    for (int j = 0; j < L; ++j) e[j] = u[j] == m ? 1.0 : std::exp(u[j] - m);
+    double* a = &ws.alpha[static_cast<size_t>(t) * L];
+    if (t == 0) {
+      for (int j = 0; j < L; ++j) a[j] = e[j];
+    } else {
+      const double* prev = a - L;
+      const double* E = exp_row(t);
+      for (int j = 0; j < L; ++j) a[j] = 0.0;
+      for (int i = 0; i < L; ++i) {
+        const double p = prev[i];
+        const double* Ei = &E[static_cast<size_t>(i) * L];
+        for (int j = 0; j < L; ++j) a[j] += p * Ei[j];
+      }
+      for (int j = 0; j < L; ++j) a[j] *= e[j];
+    }
+    double c = 0.0;
+    for (int j = 0; j < L; ++j) c += a[j];
+    // A zero, overflowed or NaN scale would leave log Z non-finite; stop
+    // at the first one.
+    if (!(c > 0.0 && c <= std::numeric_limits<double>::max())) return false;
+    for (int j = 0; j < L; ++j) a[j] /= c;
+    ws.scales[static_cast<size_t>(t)] = c;
+    shift += m;
+    int e2;
+    prod *= std::frexp(c, &e2);
+    exponent += e2;
+    if (prod < kRescaleLow) {
+      prod = std::frexp(prod, &e2);
+      exponent += e2;
+    }
+  }
+  const double log_z = shift + (std::log(prod) + exponent * std::numbers::ln2);
+  if (!std::isfinite(log_z)) return false;
+
+  Posteriors& p = ResetPosteriors(ws.post, T, L, with_edges);
+  p.log_z = log_z;
+  // Two L-wide backward rows, and w = e_t * beta_t / c_t in `lse`.
+  ws.beta.resize(2 * static_cast<size_t>(L));
+  ws.lse.resize(static_cast<size_t>(L));
+  double* beta = ws.beta.data();
+  double* beta_prev = beta + L;
+  double* w = ws.lse.data();
+  for (int j = 0; j < L; ++j) beta[j] = 1.0;
+  for (int t = T - 1;; --t) {
+    const double* a = &ws.alpha[static_cast<size_t>(t) * L];
+    double* node = &p.node[static_cast<size_t>(t) * L];
+    for (int j = 0; j < L; ++j) node[j] = a[j] * beta[j];
+    if (t == 0) break;
+    const double* e = &ws.exp_unary[static_cast<size_t>(t) * L];
+    const double c = ws.scales[static_cast<size_t>(t)];
+    for (int j = 0; j < L; ++j) w[j] = e[j] * beta[j] / c;
+    const double* E = exp_row(t);
+    const double* a_prev = a - L;
+    double* edge = with_edges ? &p.edge[static_cast<size_t>(t) * LL] : nullptr;
+    double sum = 0.0;
+    for (int i = 0; i < L; ++i) {
+      const double* Ei = &E[static_cast<size_t>(i) * L];
+      double acc = 0.0;
+      if (edge != nullptr) {
+        double* edge_i = &edge[static_cast<size_t>(i) * L];
+        for (int j = 0; j < L; ++j) {
+          const double x = Ei[j] * w[j];
+          acc += x;
+          edge_i[j] = a_prev[i] * x;
+        }
+      } else {
+        for (int j = 0; j < L; ++j) acc += Ei[j] * w[j];
+      }
+      beta_prev[i] = acc;
+      sum += acc;
+    }
+    if (!(sum <= std::numeric_limits<double>::max())) return false;
+    std::swap(beta, beta_prev);
+  }
+  return true;
+}
+
+}  // namespace
+
 const Posteriors& ForwardBackward(const CrfModel::Scores& s, Workspace& ws,
                                   bool with_edges) {
+  if (s.T <= 0) throw std::invalid_argument("ForwardBackward: empty");
+  if (!ScaledForwardBackward(s, ws, with_edges)) {
+    LogDomainForwardBackward(s, ws, with_edges);
+  }
+  return ws.post;
+}
+
+const Posteriors& LogDomainForwardBackward(const CrfModel::Scores& s,
+                                           Workspace& ws, bool with_edges) {
   if (s.T <= 0) throw std::invalid_argument("ForwardBackward: empty");
   const int T = s.T;
   const int L = s.L;
@@ -102,16 +260,8 @@ const Posteriors& ForwardBackward(const CrfModel::Scores& s, Workspace& ws,
   const std::vector<double>& alpha = ws.alpha;
   const std::vector<double>& beta = ws.beta;
 
-  Posteriors& p = ws.post;
-  p.T = T;
-  p.L = L;
+  Posteriors& p = ResetPosteriors(ws.post, T, L, with_edges);
   p.log_z = LogSumExp(&alpha[static_cast<size_t>(T - 1) * L], L);
-  p.node.assign(static_cast<size_t>(T) * L, 0.0);
-  if (with_edges) {
-    p.edge.assign(static_cast<size_t>(T) * L * L, 0.0);
-  } else {
-    p.edge.clear();
-  }
 
   for (int t = 0; t < T; ++t) {
     for (int j = 0; j < L; ++j) {
@@ -150,11 +300,6 @@ double PathScore(const CrfModel::Scores& s, std::span<const int> labels) {
   }
   return score;
 }
-
-// The running sum of PathLogProb is kept inside [2^-512, 2^512], far from
-// both ends of double's range, so one step's factors cannot leave it.
-constexpr double kRescaleHigh = 0x1p512;
-constexpr double kRescaleLow = 0x1p-512;
 
 }  // namespace
 

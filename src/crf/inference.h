@@ -1,13 +1,18 @@
 // Probabilistic inference for linear-chain CRFs (paper appendix A).
 //
-// The partition function and marginals run in the log domain: the paper's
-// matrices M_t (eq. 9) are represented by their logarithms (the Scores
-// struct), and products of M_t become log-sum-exp recursions. This is
-// numerically exact for any sequence length, unlike the literal
-// matrix-product form of eq. 10 which overflows for long records. The
-// log-probability of one path (PathLogProb) instead runs a rescaled
-// exp-domain recursion relative to that path, which avoids both the
-// overflow and the cancellation of `score - log Z`.
+// Marginals come from a scaled exp-domain forward-backward (Rabiner
+// scaling): the paper's matrices M_t (eq. 9) are used as exp(PairRow(t))
+// blocks times exp(unary - max unary), and each forward row is normalized
+// to sum to 1, so the literal matrix products of eq. 10 never overflow and
+// log Z is the sum of the shifts and the logs of the scales. A sequence
+// whose scaled recursion leaves double's range (a zero or non-finite
+// scale, or an overflowing backward row) is rerun in the log domain, where
+// the M_t are represented by their logarithms (the Scores struct) and
+// products become log-sum-exp recursions; that recursion is also
+// LogPartition and the reference the tests compare against. The
+// log-probability of one path (PathLogProb) runs a rescaled exp-domain
+// recursion relative to that path, which avoids both the overflow and the
+// cancellation of `score - log Z`.
 #pragma once
 
 #include <span>
@@ -47,8 +52,20 @@ Posteriors ForwardBackward(const CrfModel::Scores& scores);
 // the workspace has warmed up. With `with_edges` false the T*L*L edge
 // marginals — only the training gradient needs them — are skipped and
 // `ws.post.edge` is left empty; log_z and node marginals are still exact.
+// Runs the scaled exp-domain recursion, reading pairwise blocks from
+// `scores.exp_pair_rows` when the caller supplies them (else exponentiating
+// PairRow(t) into `ws.exp_pair`); falls back to LogDomainForwardBackward
+// only when a scale is zero or not finite, a backward row overflows, or
+// log Z is not finite. Scratch: alpha, beta, lse, exp_unary, scales,
+// exp_pair.
 const Posteriors& ForwardBackward(const CrfModel::Scores& scores,
                                   Workspace& ws, bool with_edges = true);
+
+// The log-domain forward-backward: ForwardBackward's fallback and the
+// reference its tests compare against. Same contract as ForwardBackward.
+const Posteriors& LogDomainForwardBackward(const CrfModel::Scores& scores,
+                                           Workspace& ws,
+                                           bool with_edges = true);
 
 // Log-probability of a specific label path y under the scores, computed
 // without the cancellation of `score(y) - log Z`:

@@ -1,5 +1,8 @@
 #include "crf/likelihood.h"
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <stdexcept>
 
 #include "crf/inference.h"
@@ -13,12 +16,27 @@ LogLikelihood::LogLikelihood(CrfModel& model, const Dataset& data,
   if (data_.sequences.size() != data_.labels.size()) {
     throw std::invalid_argument("LogLikelihood: dataset size mismatch");
   }
+  std::map<std::vector<int>, int> block_ids;
+  block_of_.resize(data_.size());
   for (size_t r = 0; r < data_.size(); ++r) {
-    if (data_.sequences[r].size() != data_.labels[r].size()) {
+    const CompiledSequence& seq = data_.sequences[r];
+    if (seq.size() != data_.labels[r].size()) {
       throw std::invalid_argument(
           "LogLikelihood: sequence/label length mismatch");
     }
+    std::vector<int>& blocks = block_of_[r];
+    blocks.assign(seq.size(), -1);  // position 0 has no pairwise block
+    for (size_t t = 1; t < seq.size(); ++t) {
+      const auto [it, added] = block_ids.try_emplace(
+          seq[t].trans_slots, static_cast<int>(block_slots_.size()));
+      if (added) block_slots_.push_back(seq[t].trans_slots);
+      blocks[t] = it->second;
+    }
   }
+  const size_t LL = static_cast<size_t>(model_.num_labels()) *
+                    static_cast<size_t>(model_.num_labels());
+  log_blocks_.resize(block_slots_.size() * LL);
+  exp_blocks_.resize(block_slots_.size() * LL);
 }
 
 void LogLikelihood::AccumulateSequence(size_t index, Workspace& ws,
@@ -28,10 +46,26 @@ void LogLikelihood::AccumulateSequence(size_t index, Workspace& ws,
   const std::vector<int>& gold = data_.labels[index];
   if (seq.empty()) return;
 
-  model_.ComputeScores(seq, ws.scores);
-  const CrfModel::Scores& scores = ws.scores;
+  const std::vector<int>& blocks = block_of_[index];
+  const int T = static_cast<int>(seq.size());
+  const int L = model_.num_labels();
+  const size_t LL = static_cast<size_t>(L) * static_cast<size_t>(L);
+  // Unary rows per position; pairwise rows point into the block table.
+  CrfModel::Scores& scores = ws.scores;
+  scores.T = T;
+  scores.L = L;
+  scores.unary.resize(static_cast<size_t>(T) * L);
+  scores.pairwise.clear();
+  scores.pair_rows.assign(static_cast<size_t>(T), nullptr);
+  scores.exp_pair_rows.assign(static_cast<size_t>(T), nullptr);
+  for (size_t t = 0; t < seq.size(); ++t) {
+    model_.UnaryScores(seq[t], &scores.unary[t * static_cast<size_t>(L)]);
+    if (t == 0) continue;
+    const size_t b = static_cast<size_t>(blocks[t]);
+    scores.pair_rows[t] = &log_blocks_[b * LL];
+    scores.exp_pair_rows[t] = &exp_blocks_[b * LL];
+  }
   const Posteriors& post = ForwardBackward(scores, ws, /*with_edges=*/true);
-  const int L = scores.L;
 
   // NLL contribution: log Z - theta . f(gold).
   double gold_score = 0.0;
@@ -39,9 +73,9 @@ void LogLikelihood::AccumulateSequence(size_t index, Workspace& ws,
     gold_score += scores.unary[t * static_cast<size_t>(L) +
                                static_cast<size_t>(gold[t])];
     if (t >= 1) {
-      gold_score += scores.pairwise[t * static_cast<size_t>(L * L) +
-                                    static_cast<size_t>(gold[t - 1]) * L +
-                                    static_cast<size_t>(gold[t])];
+      const double* pair = scores.PairRow(static_cast<int>(t));
+      gold_score += pair[static_cast<size_t>(gold[t - 1]) * L +
+                         static_cast<size_t>(gold[t])];
     }
   }
   nll += post.log_z - gold_score;
@@ -77,6 +111,14 @@ double LogLikelihood::Evaluate(const std::vector<double>& w,
   model_.weights() = w;
   grad.assign(w.size(), 0.0);
   double nll = 0.0;
+  const size_t LL = static_cast<size_t>(model_.num_labels()) *
+                    static_cast<size_t>(model_.num_labels());
+  for (size_t b = 0; b < block_slots_.size(); ++b) {
+    double* log_block = &log_blocks_[b * LL];
+    model_.PairwiseScores(block_slots_[b], log_block);
+    double* exp_block = &exp_blocks_[b * LL];
+    for (size_t ij = 0; ij < LL; ++ij) exp_block[ij] = std::exp(log_block[ij]);
+  }
 
   if (pool_ == nullptr || pool_->size() <= 1 || data_.size() < 2) {
     Workspace ws;

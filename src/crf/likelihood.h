@@ -51,6 +51,15 @@ class LogLikelihood {
   const Dataset& data_;
   double l2_sigma_;
   util::ThreadPool* pool_;
+  // The table of pairwise blocks. Position t >= 1 of sequence r reads block
+  // block_of_[r][t], one per distinct `trans_slots` list in the dataset
+  // (block_slots_[b]). Each Evaluate fills log_blocks_ with
+  // CrfModel::PairwiseScores and exp_blocks_ with std::exp of it, so
+  // sequences share the blocks instead of rebuilding one per position.
+  std::vector<std::vector<int>> block_of_;
+  std::vector<std::vector<int>> block_slots_;
+  std::vector<double> log_blocks_;
+  std::vector<double> exp_blocks_;
 };
 
 }  // namespace whoiscrf::crf

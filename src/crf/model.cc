@@ -1,5 +1,6 @@
 #include "crf/model.h"
 
+#include <algorithm>
 #include <fstream>
 #include <stdexcept>
 
@@ -232,27 +233,44 @@ CrfModel CrfModel::Load(std::istream& is) {
   if (version < 1 || version > kVersion) {
     throw std::runtime_error("CrfModel::Load: unsupported version");
   }
+  // Counts come off the stream: reserve at most kReserveLimit entries, and
+  // read the weights in pieces, so a corrupt count fails with "truncated
+  // stream" before it costs more memory than the stream holds.
   const uint32_t num_labels = ReadU32(is, kLoad);
   std::vector<std::string> labels;
-  labels.reserve(num_labels);
+  labels.reserve(std::min<size_t>(num_labels, util::le::kReserveLimit));
   for (uint32_t i = 0; i < num_labels; ++i) {
     labels.push_back(ReadString(is, kLoad));
   }
   text::Vocabulary vocab = text::Vocabulary::Load(is);
   const uint32_t num_slots = ReadU32(is, kLoad);
   std::vector<int> slots;
-  slots.reserve(num_slots);
+  slots.reserve(std::min<size_t>(num_slots, util::le::kReserveLimit));
   for (uint32_t i = 0; i < num_slots; ++i) {
     slots.push_back(static_cast<int>(ReadU32(is, kLoad)));
   }
-  CrfModel model(std::move(labels), std::move(vocab), std::move(slots));
   const uint32_t num_weights = ReadU32(is, kLoad);
-  if (num_weights != model.weights_.size()) {
+  // (A + L + S*L) * L weights, in double: exact wherever it could equal
+  // a u32.
+  const double n_labels = static_cast<double>(labels.size());
+  const double per_label = static_cast<double>(vocab.size()) + n_labels +
+                           static_cast<double>(slots.size()) * n_labels;
+  if (per_label * n_labels != static_cast<double>(num_weights)) {
     throw std::runtime_error("CrfModel::Load: weight count mismatch");
   }
-  is.read(reinterpret_cast<char*>(model.weights_.data()),
-          static_cast<std::streamsize>(num_weights * sizeof(double)));
-  if (!is) throw std::runtime_error("CrfModel::Load: truncated weights");
+  std::vector<double> weights;
+  constexpr size_t kPiece = util::le::kReadPieceBytes / sizeof(double);
+  while (weights.size() < num_weights) {
+    const size_t have = weights.size();
+    const size_t piece = std::min<size_t>(kPiece, num_weights - have);
+    weights.resize(have + piece);
+    if (!is.read(reinterpret_cast<char*>(weights.data() + have),
+                 static_cast<std::streamsize>(piece * sizeof(double)))) {
+      util::le::ThrowTruncated(kLoad);
+    }
+  }
+  CrfModel model(std::move(labels), std::move(vocab), std::move(slots));
+  model.weights_.swap(weights);
   if (version >= 2) {
     // v2 trailer: the transition-support mask older writers filled for
     // beam decoding (0 or L*L bytes). Nothing reads it any more; check the

@@ -46,7 +46,8 @@ const TrainMetrics& GetTrainMetrics() {
     m.iteration_seconds = reg.GetHistogram(
         "whoiscrf_train_iteration_seconds",
         "Wall time of one accepted L-BFGS iteration",
-        {0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30});
+        {0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1,
+         2.5, 5, 10, 30});
     return m;
   }();
   return metrics;

@@ -1,6 +1,6 @@
 // Reusable scratch for CRF inference (the "allocation-free fast path").
 //
-// Every inference primitive — ComputeScores, Forward/Backward, Viterbi —
+// Every inference primitive — ComputeScores, ForwardBackward, Viterbi —
 // needs O(T*L) .. O(T*L*L) working memory. The classic entry points
 // allocate it per call, which is fine for training but dominates the cost
 // of tagging millions of small records. A Workspace owns all of those
@@ -32,15 +32,21 @@ struct Workspace {
   // Log-potentials (CrfModel::ComputeScores).
   CrfModel::Scores scores;
 
-  // Forward-backward state (inference.h workspace overloads).
-  std::vector<double> alpha;  // T*L forward log-sums
-  std::vector<double> beta;   // T*L backward log-sums
-  std::vector<double> lse;    // L-wide log-sum-exp scratch
+  // Forward-backward state (inference.h workspace overloads). The scaled
+  // recursion keeps normalized exp-domain rows in `alpha` and two L-wide
+  // backward rows in `beta`; LogPartition and the log-domain fallback keep
+  // T*L log-sums in both.
+  std::vector<double> alpha;      // T*L forward rows
+  std::vector<double> beta;       // backward rows
+  std::vector<double> lse;        // L-wide scratch
+  std::vector<double> exp_unary;  // T*L exp(unary - row max)
+  std::vector<double> scales;     // T forward row sums
   Posteriors post;
 
-  // PathLogProb state: the two L-wide rows of its exp-domain recursion,
-  // and one L*L block for exponentiating dense pairwise rows.
+  // PathLogProb state: the two L-wide rows of its exp-domain recursion.
   std::vector<double> path_eps;
+  // std::exp of dense pairwise rows when Scores has no exp_pair_rows:
+  // T*L*L for ForwardBackward, one L*L block for PathLogProb.
   std::vector<double> exp_pair;
 
   // Viterbi state (viterbi.h workspace overload).

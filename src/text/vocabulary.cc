@@ -63,8 +63,10 @@ Vocabulary Vocabulary::Load(std::istream& is) {
   constexpr std::string_view kLoad = "Vocabulary::Load";
   Vocabulary v;
   const uint32_t n = util::le::ReadU32(is, kLoad);
-  v.names_.reserve(n);
-  v.ids_.reserve(n);
+  // Past kReserveLimit entries, grow as they arrive.
+  const size_t expect = std::min<size_t>(n, util::le::kReserveLimit);
+  v.names_.reserve(expect);
+  v.ids_.reserve(expect);
   for (uint32_t i = 0; i < n; ++i) {
     std::string name = util::le::ReadString(is, kLoad);
     v.ids_.emplace(name, static_cast<int>(v.names_.size()));

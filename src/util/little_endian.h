@@ -6,7 +6,9 @@
 // its own error text by passing its name as `context`.
 #pragma once
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -79,11 +81,25 @@ inline double ReadF64(std::istream& is, std::string_view context) {
   return std::bit_cast<double>(ReadU64(is, context));
 }
 
+// Loaders never size a buffer from a length or count word alone: they read
+// in pieces of at most kReadPieceBytes and reserve at most kReserveLimit
+// elements up front, so a corrupt word costs no more memory than the stream
+// really holds.
+inline constexpr size_t kReadPieceBytes = size_t{1} << 20;
+inline constexpr size_t kReserveLimit = size_t{1} << 16;
+
+// Reads a u32-length string. The string grows one piece at a time as bytes
+// arrive, never to the declared length up front.
 inline std::string ReadString(std::istream& is, std::string_view context) {
   const uint32_t len = ReadU32(is, context);
-  std::string s(len, '\0');
-  if (!is.read(s.data(), static_cast<std::streamsize>(len))) {
-    ThrowTruncated(context);
+  std::string s;
+  while (s.size() < len) {
+    const size_t have = s.size();
+    const size_t piece = std::min<size_t>(kReadPieceBytes, len - have);
+    s.resize(have + piece);
+    if (!is.read(s.data() + have, static_cast<std::streamsize>(piece))) {
+      ThrowTruncated(context);
+    }
   }
   return s;
 }

@@ -41,7 +41,9 @@ CrfModel RandomModel(int num_labels, int num_attrs, uint64_t seed) {
   for (int a = 0; a < num_attrs; ++a) slots.push_back(a);
   std::vector<std::string> labels;
   for (int l = 0; l < num_labels; ++l) {
-    labels.push_back("L" + std::to_string(l));
+    // append, not "L" + ...: libstdc++ 12 raises a false -Wrestrict on
+    // that temporary once this function is inlined.
+    labels.emplace_back("L").append(std::to_string(l));
   }
   CrfModel model(labels, std::move(vocab), slots);
   util::Rng rng(seed);
@@ -696,6 +698,350 @@ TEST(PathLogProbTest, WhoisParsePathsAgreeOnDriftedCorpus) {
     const CrfModel::Scores scores = level1.ComputeScores(level1.Compile(attrs));
     EXPECT_LE(RelErr(fast, LongDoubleLogProb(scores, classic.labels)),
               kMaxRelErr) << r;
+  }
+}
+
+// --- ForwardBackward ---------------------------------------------------------
+
+// Dense scores drawn uniformly from [-magnitude, magnitude].
+CrfModel::Scores UniformScores(int L, int T, double magnitude, uint64_t seed) {
+  util::Rng rng(seed);
+  CrfModel::Scores s;
+  s.T = T;
+  s.L = L;
+  s.unary.resize(static_cast<size_t>(T) * L);
+  s.pairwise.resize(static_cast<size_t>(T) * L * L);
+  for (double& u : s.unary) {
+    u = (2.0 * rng.UniformDouble() - 1.0) * magnitude;
+  }
+  for (double& p : s.pairwise) {
+    p = (2.0 * rng.UniformDouble() - 1.0) * magnitude;
+  }
+  return s;
+}
+
+// Largest |got - want| over two equally sized vectors.
+double MaxAbsDiff(const std::vector<double>& got,
+                  const std::vector<double>& want) {
+  EXPECT_EQ(got.size(), want.size());
+  double worst = 0.0;
+  for (size_t k = 0; k < got.size() && k < want.size(); ++k) {
+    worst = std::max(worst, std::fabs(got[k] - want[k]));
+  }
+  return worst;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Node and edge marginals by enumerating all L^T paths in long double.
+Posteriors BruteForcePosteriors(const CrfModel::Scores& s) {
+  const int T = s.T;
+  const int L = s.L;
+  const size_t LL = static_cast<size_t>(L) * L;
+  std::vector<long double> node(static_cast<size_t>(T) * L, 0.0L);
+  std::vector<long double> edge(static_cast<size_t>(T) * LL, 0.0L);
+  const long double log_z = LogPartitionBruteForce(s);
+  std::vector<int> y(static_cast<size_t>(T), 0);
+  while (true) {
+    const long double p = expl(PathScoreLd(s, y) - log_z);
+    for (int t = 0; t < T; ++t) {
+      node[static_cast<size_t>(t) * L + y[static_cast<size_t>(t)]] += p;
+      if (t >= 1) {
+        edge[static_cast<size_t>(t) * LL +
+             static_cast<size_t>(y[static_cast<size_t>(t - 1)]) * L +
+             y[static_cast<size_t>(t)]] += p;
+      }
+    }
+    int pos = 0;
+    while (pos < T) {
+      if (++y[static_cast<size_t>(pos)] < L) break;
+      y[static_cast<size_t>(pos)] = 0;
+      ++pos;
+    }
+    if (pos == T) break;
+  }
+  Posteriors post;
+  post.T = T;
+  post.L = L;
+  post.log_z = static_cast<double>(log_z);
+  post.node.assign(node.begin(), node.end());
+  post.edge.assign(edge.begin(), edge.end());
+  return post;
+}
+
+// The log-domain forward-backward in long double: LogDomainForwardBackward's
+// recursion with 11 more bits, so its marginals are exact to ~1e-15 where
+// the double recursion's exp(alpha + beta - log Z) loses the digits of
+// |log Z| (~1e-11 at |log Z| ~ 2e4).
+Posteriors LongDoublePosteriors(const CrfModel::Scores& s) {
+  const int T = s.T;
+  const int L = s.L;
+  const size_t LL = static_cast<size_t>(L) * L;
+  const auto lse = [](const std::vector<long double>& v) {
+    const long double m = *std::max_element(v.begin(), v.end());
+    long double sum = 0.0L;
+    for (long double x : v) sum += expl(x - m);
+    return m + logl(sum);
+  };
+  std::vector<long double> alpha(static_cast<size_t>(T) * L);
+  std::vector<long double> beta(static_cast<size_t>(T) * L, 0.0L);
+  std::vector<long double> terms(static_cast<size_t>(L));
+  for (int j = 0; j < L; ++j) {
+    alpha[static_cast<size_t>(j)] = s.unary[static_cast<size_t>(j)];
+  }
+  for (int t = 1; t < T; ++t) {
+    for (int j = 0; j < L; ++j) {
+      for (int i = 0; i < L; ++i) {
+        terms[static_cast<size_t>(i)] =
+            alpha[static_cast<size_t>(t - 1) * L + i] + Step(s, t, i, j);
+      }
+      alpha[static_cast<size_t>(t) * L + j] = lse(terms);
+    }
+  }
+  for (int t = T - 2; t >= 0; --t) {
+    for (int i = 0; i < L; ++i) {
+      for (int j = 0; j < L; ++j) {
+        terms[static_cast<size_t>(j)] =
+            Step(s, t + 1, i, j) + beta[static_cast<size_t>(t + 1) * L + j];
+      }
+      beta[static_cast<size_t>(t) * L + i] = lse(terms);
+    }
+  }
+  const long double log_z = lse(std::vector<long double>(
+      alpha.end() - L, alpha.end()));
+  Posteriors post;
+  post.T = T;
+  post.L = L;
+  post.log_z = static_cast<double>(log_z);
+  post.node.resize(static_cast<size_t>(T) * L);
+  post.edge.assign(static_cast<size_t>(T) * LL, 0.0);
+  for (size_t k = 0; k < post.node.size(); ++k) {
+    post.node[k] = static_cast<double>(expl(alpha[k] + beta[k] - log_z));
+  }
+  for (int t = 1; t < T; ++t) {
+    for (int i = 0; i < L; ++i) {
+      for (int j = 0; j < L; ++j) {
+        const long double log_p = alpha[static_cast<size_t>(t - 1) * L + i] +
+                                  Step(s, t, i, j) +
+                                  beta[static_cast<size_t>(t) * L + j] - log_z;
+        post.edge[static_cast<size_t>(t) * LL + static_cast<size_t>(i) * L +
+                  j] = static_cast<double>(expl(log_p));
+      }
+    }
+  }
+  return post;
+}
+
+constexpr double kMarginalTol = 1e-12;
+
+// The scaled recursion against the log-domain one, in double
+// (LogDomainForwardBackward) and in long double. The double reference's
+// marginals, exp(alpha + beta - log Z), carry a few ulps of |log Z|
+// (~1.5e-11 at |log Z| ~ 2e4), so against it the marginal bound widens by
+// 1e-15 |log Z|; against the long-double recursion it is 1e-12 flat.
+TEST(ForwardBackwardTest, MatchesLogDomainReferenceOnRandomScores) {
+  Workspace ws;
+  Workspace ref_ws;
+  for (int L : {6, 12}) {
+    for (int T = 1; T <= 60; ++T) {
+      for (double magnitude : {0.5, 5.0, 50.0, 200.0}) {
+        SCOPED_TRACE(testing::Message() << "L=" << L << " T=" << T
+                                        << " magnitude=" << magnitude);
+        const CrfModel::Scores s = UniformScores(
+            L, T, magnitude, 7919u * static_cast<uint64_t>(T) + L);
+        const Posteriors& got = ForwardBackward(s, ws);
+        const Posteriors& want = LogDomainForwardBackward(s, ref_ws);
+        ASSERT_EQ(got.T, T);
+        ASSERT_EQ(got.L, L);
+        const double z_scale = std::max(1.0, std::fabs(want.log_z));
+        EXPECT_LE(std::fabs(got.log_z - want.log_z), 1e-12 * z_scale);
+        EXPECT_LE(MaxAbsDiff(got.node, want.node),
+                  kMarginalTol + 1e-15 * z_scale);
+        EXPECT_LE(MaxAbsDiff(got.edge, want.edge),
+                  kMarginalTol + 1e-15 * z_scale);
+
+        const Posteriors exact = LongDoublePosteriors(s);
+        EXPECT_LE(std::fabs(got.log_z - exact.log_z), 1e-12 * z_scale);
+        EXPECT_LE(MaxAbsDiff(got.node, exact.node), kMarginalTol);
+        EXPECT_LE(MaxAbsDiff(got.edge, exact.edge), kMarginalTol);
+      }
+    }
+  }
+}
+
+TEST(ForwardBackwardTest, MatchesBruteForceEnumeration) {
+  Workspace ws;
+  for (int L : {6, 12}) {
+    for (int T = 1; std::pow(L, T) <= 3e5; ++T) {
+      for (double magnitude : {1.0, 30.0, 200.0}) {
+        SCOPED_TRACE(testing::Message() << "L=" << L << " T=" << T
+                                        << " magnitude=" << magnitude);
+        const CrfModel::Scores s = UniformScores(L, T, magnitude, 31u * T + L);
+        const Posteriors& got = ForwardBackward(s, ws);
+        const Posteriors brute = BruteForcePosteriors(s);
+        EXPECT_LE(std::fabs(got.log_z - brute.log_z),
+                  1e-12 * std::max(1.0, std::fabs(brute.log_z)));
+        EXPECT_LE(MaxAbsDiff(got.node, brute.node), kMarginalTol);
+        EXPECT_LE(MaxAbsDiff(got.edge, brute.edge), kMarginalTol);
+      }
+    }
+  }
+}
+
+TEST(ForwardBackwardTest, WithoutEdgesKeepsNodesAndLogZ) {
+  const CrfModel::Scores s = UniformScores(12, 40, 20.0, 5);
+  Workspace ws;
+  const Posteriors full = ForwardBackward(s, ws, /*with_edges=*/true);
+  const Posteriors& nodes = ForwardBackward(s, ws, /*with_edges=*/false);
+  EXPECT_TRUE(nodes.edge.empty());
+  EXPECT_EQ(nodes.log_z, full.log_z);
+  EXPECT_TRUE(SameBits(nodes.node, full.node));
+}
+
+TEST(ForwardBackwardTest, SuppliedExpRowsGiveTheSameBits) {
+  // Shared blocks through pair_rows and their std::exp through
+  // exp_pair_rows, as LogLikelihood's block table supplies them.
+  const CrfModel::Scores dense = UniformScores(6, 30, 40.0, 11);
+  CrfModel::Scores rows = dense;
+  const size_t LL = 36;
+  std::vector<double> exp_blocks(static_cast<size_t>(dense.T) * LL);
+  rows.pair_rows.assign(static_cast<size_t>(dense.T), nullptr);
+  rows.exp_pair_rows.assign(static_cast<size_t>(dense.T), nullptr);
+  for (int t = 1; t < dense.T; ++t) {
+    double* block = &exp_blocks[static_cast<size_t>(t) * LL];
+    for (size_t ij = 0; ij < LL; ++ij) {
+      block[ij] = std::exp(dense.PairRow(t)[ij]);
+    }
+    rows.pair_rows[static_cast<size_t>(t)] = dense.PairRow(t);
+    rows.exp_pair_rows[static_cast<size_t>(t)] = block;
+  }
+  Workspace ws;
+  const Posteriors own = ForwardBackward(dense, ws);
+  const Posteriors& supplied = ForwardBackward(rows, ws);
+  EXPECT_EQ(supplied.log_z, own.log_z);
+  EXPECT_TRUE(SameBits(supplied.node, own.node));
+  EXPECT_TRUE(SameBits(supplied.edge, own.edge));
+}
+
+TEST(ForwardBackwardTest, PairwiseBeyondExpRangeTakesTheLogDomainFallback) {
+  // exp(800) overflows, so the scaled recursion cannot run; the sequence
+  // must come back exactly as the log-domain recursion computes it.
+  CrfModel::Scores s = UniformScores(6, 25, 5.0, 13);
+  s.pairwise[static_cast<size_t>(9) * 36 + 2 * 6 + 4] = 800.0;
+  Workspace ws;
+  Workspace ref_ws;
+  const Posteriors& got = ForwardBackward(s, ws);
+  const Posteriors& want = LogDomainForwardBackward(s, ref_ws);
+  EXPECT_EQ(got.log_z, want.log_z);
+  EXPECT_TRUE(SameBits(got.node, want.node));
+  EXPECT_TRUE(SameBits(got.edge, want.edge));
+  EXPECT_TRUE(std::isfinite(got.log_z));
+  EXPECT_NEAR(got.node[static_cast<size_t>(9) * 6 + 4], 1.0, 1e-12);
+
+  // The same through LogPartition, and with no edges requested.
+  EXPECT_EQ(LogPartition(s), want.log_z);
+  EXPECT_TRUE(SameBits(ForwardBackward(s, ws, false).node, want.node));
+}
+
+TEST(ForwardBackwardTest, BackwardOverflowTakesTheLogDomainFallback) {
+  // Every forward scale is finite (c_1 ~ e^-700), but label 1 at t=0 has
+  // forward weight exp(-1500) = 0 and backward weight e^1400 = inf, whose
+  // product is NaN in the exp domain.
+  CrfModel::Scores s;
+  s.T = 3;
+  s.L = 2;
+  s.unary = {0.0, -1500.0, 0.0, 0.0, 0.0, 0.0};
+  s.pairwise.assign(3 * 4, 0.0);
+  const double block[4] = {-700.0, -700.0, 700.0, 700.0};
+  std::copy(block, block + 4, s.pairwise.begin() + 4);
+  Workspace ws;
+  Workspace ref_ws;
+  const Posteriors& got = ForwardBackward(s, ws);
+  const Posteriors& want = LogDomainForwardBackward(s, ref_ws);
+  EXPECT_EQ(got.log_z, want.log_z);
+  EXPECT_TRUE(SameBits(got.node, want.node));
+  EXPECT_TRUE(SameBits(got.edge, want.edge));
+  for (double p : got.node) EXPECT_TRUE(std::isfinite(p));
+}
+
+// One LogLikelihood::Evaluate through the block table against the
+// objective computed the dense way: ComputeScores per sequence, the
+// log-domain marginals, and every feature's expected count added per
+// position.
+TEST(ForwardBackwardTest, BlockTableEvaluateMatchesDenseReference) {
+  CrfModel model = RandomModel(6, 10, 77);
+  for (double& w : model.weights()) w *= 3.0;
+  Dataset data;
+  util::Rng rng(78);
+  for (int r = 0; r < 24; ++r) {
+    const int length = static_cast<int>(rng.UniformInt(1, 40));
+    data.sequences.push_back(RandomSequence(model, length, 900 + r));
+    std::vector<int> gold;
+    for (size_t t = 0; t < data.sequences.back().size(); ++t) {
+      gold.push_back(static_cast<int>(rng.UniformInt(0, 5)));
+    }
+    data.labels.push_back(std::move(gold));
+  }
+  const double sigma = 2.0;
+  const int L = model.num_labels();
+  std::vector<double> ref_grad(model.num_weights(), 0.0);
+  double ref_nll = 0.0;
+  Workspace ws;
+  for (size_t r = 0; r < data.size(); ++r) {
+    const CompiledSequence& seq = data.sequences[r];
+    const std::vector<int>& gold = data.labels[r];
+    const CrfModel::Scores scores = model.ComputeScores(seq);
+    const Posteriors& post = LogDomainForwardBackward(scores, ws);
+    ref_nll += post.log_z;
+    for (size_t t = 0; t < seq.size(); ++t) {
+      ref_nll -= scores.unary[t * L + gold[t]];
+      for (int attr : seq[t].attrs) {
+        for (int j = 0; j < L; ++j) {
+          ref_grad[model.UnigramIndex(attr, j)] += post.node[t * L + j];
+        }
+        ref_grad[model.UnigramIndex(attr, gold[t])] -= 1.0;
+      }
+      if (t == 0) continue;
+      ref_nll -= scores.PairRow(static_cast<int>(t))[gold[t - 1] * L + gold[t]];
+      for (int i = 0; i < L; ++i) {
+        for (int j = 0; j < L; ++j) {
+          const double e = post.edge[t * L * L + i * L + j];
+          ref_grad[model.TransitionIndex(i, j)] += e;
+          for (int slot : seq[t].trans_slots) {
+            ref_grad[model.ObservedTransitionIndex(slot, i, j)] += e;
+          }
+        }
+      }
+      ref_grad[model.TransitionIndex(gold[t - 1], gold[t])] -= 1.0;
+      for (int slot : seq[t].trans_slots) {
+        ref_grad[model.ObservedTransitionIndex(slot, gold[t - 1], gold[t])] -=
+            1.0;
+      }
+    }
+  }
+  const std::vector<double> w = model.weights();
+  for (size_t k = 0; k < w.size(); ++k) {
+    ref_nll += 0.5 * w[k] * w[k] / (sigma * sigma);
+    ref_grad[k] += w[k] / (sigma * sigma);
+  }
+
+  util::ThreadPool pool(3);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "pool");
+    CrfModel copy = model;
+    LogLikelihood objective(copy, data, sigma, p);
+    std::vector<double> grad;
+    const double nll = objective.Evaluate(w, grad);
+    EXPECT_LE(std::fabs(nll - ref_nll), 1e-10 * std::fabs(ref_nll));
+    ASSERT_EQ(grad.size(), ref_grad.size());
+    for (size_t k = 0; k < grad.size(); ++k) {
+      ASSERT_LE(std::fabs(grad[k] - ref_grad[k]),
+                1e-10 * std::max(1.0, std::fabs(ref_grad[k])))
+          << "k=" << k;
+    }
   }
 }
 

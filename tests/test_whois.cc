@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "datagen/corpus_gen.h"
+#include "util/checkpoint.h"
+#include "util/little_endian.h"
 #include "whois/labels.h"
 #include "whois/record.h"
 #include "whois/training_data.h"
@@ -200,6 +202,65 @@ TEST_F(WhoisParserSmallCorpusTest, SaveLoadPreservesBehavior) {
     EXPECT_EQ(loaded.LabelLines(domain.thick.text),
               parser_->LabelLines(domain.thick.text));
   }
+}
+
+// A `/proc/self/status` field in kB ("VmHWM"), -1 if absent.
+long StatusKb(const std::string& field) {
+  std::string status;
+  if (!util::ReadFileToString("/proc/self/status", status)) return -1;
+  const size_t at = status.find("\n" + field + ":");
+  if (at == std::string::npos) return -1;
+  return std::strtol(status.c_str() + at + field.size() + 2, nullptr, 10);
+}
+
+// Model streams whose length and count words claim gigabytes the stream
+// does not hold. Each must fail as a truncated stream after growing the
+// process by far less than the claim: a loader that sizes a buffer from
+// the word first zeroes ~4 GiB for the 16-byte case.
+TEST(WhoisParserLoadTest, HostileCountsFailTruncatedBeforeAllocating) {
+  constexpr uint32_t kCrfMagic = 0x57435246;     // "WCRF"
+  constexpr uint32_t kParserMagic = 0x53525057;  // "WPRS"
+  const auto u32s = [](std::initializer_list<uint32_t> words) {
+    std::ostringstream os;
+    for (uint32_t w : words) util::le::WriteU32(os, w);
+    return os.str();
+  };
+  // Two labels, "a" and "b".
+  const std::string two_labels = u32s({kCrfMagic, 2, 2, 1}) + "a" +
+                                 u32s({1}) + "b";
+  std::string many_labels = u32s({kCrfMagic, 2, 40000});
+  for (int i = 0; i < 40000; ++i) many_labels += u32s({0});
+  // 40000 labels, no attributes or slots: 1.6e9 weights, claimed exactly.
+  many_labels += u32s({0, 0, 1600000000u});
+  const std::string cases[] = {
+      // A label string of ~4 GiB.
+      u32s({kCrfMagic, 2, 1, 0xFFFFFFF0u}),
+      // The same behind a parser options header.
+      u32s({kParserMagic, 1, 64, 7, 1, 0, 0, 1, 0, kCrfMagic, 2, 1,
+            0xFFFFFFF0u}),
+      // 2^32 - 1 labels.
+      u32s({kCrfMagic, 2, 0xFFFFFFFFu, 0}),
+      // 2^32 - 1 vocabulary entries, the first ~4 GiB long.
+      two_labels + u32s({0xFFFFFFFFu, 0xFFFFFFF0u}),
+      // 2^32 - 1 transition slots.
+      two_labels + u32s({0, 0xFFFFFFFFu, 1, 2}),
+      many_labels,
+  };
+  const long hwm_before = StatusKb("VmHWM");
+  ASSERT_GT(hwm_before, 0);
+  for (size_t c = 0; c < std::size(cases); ++c) {
+    SCOPED_TRACE(c);
+    std::istringstream is(cases[c]);
+    try {
+      WhoisParser::Load(is);
+      ADD_FAILURE() << "hostile model loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated stream"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_LT(StatusKb("VmHWM") - hwm_before, 64 * 1024);
 }
 
 TEST_F(WhoisParserSmallCorpusTest, ExtractsOtherContactAsProxy) {
