@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "crf/workspace.h"
+#include "obs/metrics.h"
 
 namespace whoiscrf::crf {
 
@@ -244,6 +245,12 @@ const Posteriors& ForwardBackward(const CrfModel::Scores& s, Workspace& ws,
                                   bool with_edges) {
   if (s.T <= 0) throw std::invalid_argument("ForwardBackward: empty");
   if (!ScaledForwardBackward(s, ws, with_edges)) {
+    static obs::Counter* const fallbacks =
+        obs::Registry::Global().GetCounter(
+            "whoiscrf_crf_forward_backward_fallbacks_total",
+            "Sequences whose scaled forward-backward left double's range and "
+            "were rerun in the log domain");
+    fallbacks->Inc();
     LogDomainForwardBackward(s, ws, with_edges);
   }
   return ws.post;

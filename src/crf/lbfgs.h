@@ -5,7 +5,16 @@
 // Armijo line search guarantees sufficient decrease. Curvature pairs with
 // non-positive s.y are skipped so the inverse-Hessian approximation stays
 // positive definite (the objective here is convex, so this is rare and
-// benign).
+// benign). Until the first pair exists the line search starts at
+// min(1, 1/||g||_2), not at a unit step that moves the weights by ||g||.
+//
+// An iteration is bound by its passes over the n weights, so they are
+// fused: each two-loop axpy computes the next dot product in the same
+// pass, the H_0 scaling, the negation and the directional derivative ride
+// the neighbouring passes, and one pass builds s, y, s.y, y.y and ||g||_inf.
+// The pairs live in a ring of history + 1 slots reused in place, so an
+// iteration allocates nothing once the ring has filled. Dot products use
+// four accumulators in a fixed order: results do not vary run to run.
 #pragma once
 
 #include <functional>
@@ -35,8 +44,7 @@ class LbfgsOptimizer {
     int max_line_search_steps = 40;
     bool verbose = false;
     // Called after every accepted iteration; pure observer (must not touch
-    // the weights). The gradient-norm computation it needs is skipped when
-    // unset and not verbose.
+    // the weights).
     std::function<void(const IterationInfo&)> on_iteration;
     // Cooperative cancellation, polled before every iteration: when it
     // returns true the optimizer stops immediately and returns the best

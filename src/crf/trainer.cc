@@ -131,9 +131,11 @@ void Trainer::Optimize(CrfModel& model, const Dataset& dataset,
   const size_t threads = options_.threads == 0
                              ? std::thread::hardware_concurrency()
                              : options_.threads;
+  // ForkJoin's caller works too: threads - 1 workers make `threads`
+  // running threads.
   std::unique_ptr<util::ThreadPool> pool;
   if (threads > 1 && dataset.size() > 1) {
-    pool = std::make_unique<util::ThreadPool>(threads);
+    pool = std::make_unique<util::ThreadPool>(threads - 1);
   }
   LogLikelihood objective(model, dataset, options_.l2_sigma, pool.get());
 

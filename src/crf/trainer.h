@@ -27,7 +27,9 @@ struct TrainerOptions {
   Algorithm algorithm = Algorithm::kLbfgs;
   LbfgsOptimizer::Options lbfgs;
   SgdOptimizer::Options sgd;
-  size_t threads = 0;  // 0 = hardware concurrency; 1 = single-threaded
+  // Threads for the gradient: 0 = hardware concurrency; 1 =
+  // single-threaded. Sets speed only; the model does not depend on it.
+  size_t threads = 0;
   bool verbose = false;
 };
 

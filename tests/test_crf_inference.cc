@@ -399,13 +399,57 @@ TEST(InferenceEdgeCases, ParallelEvaluationMatchesSerial) {
   LogLikelihood parallel(model2, data, 1.5, &pool);
   const double f1 = serial.Evaluate(model.weights(), grad_serial);
   const double f2 = parallel.Evaluate(model2.weights(), grad_parallel);
-  EXPECT_NEAR(f1, f2, 1e-9);
+  // The shards and their reduction order do not depend on the pool, so
+  // the two agree bit for bit.
+  EXPECT_EQ(f1, f2);
   ASSERT_EQ(grad_serial.size(), grad_parallel.size());
   for (size_t k = 0; k < grad_serial.size(); ++k) {
-    ASSERT_NEAR(grad_serial[k], grad_parallel[k], 1e-9) << "k=" << k;
+    ASSERT_EQ(grad_serial[k], grad_parallel[k]) << "k=" << k;
   }
 }
 
+
+// Repeated evaluations on pools of several sizes, over sequences of mixed
+// length (empty ones included), give the serial objective bit for bit.
+TEST(LogLikelihoodTest, RepeatedEvaluateIsBitIdenticalAcrossPoolSizes) {
+  CrfModel model = RandomModel(5, 12, 61);
+  Dataset data;
+  util::Rng rng(62);
+  for (int r = 0; r < 40; ++r) {
+    const int length = r % 9 == 0 ? 0 : static_cast<int>(rng.UniformInt(1, 30));
+    data.sequences.push_back(RandomSequence(model, length, 700 + r));
+    std::vector<int> gold;
+    for (int t = 0; t < length; ++t) {
+      gold.push_back(static_cast<int>(rng.UniformInt(0, 4)));
+    }
+    data.labels.push_back(std::move(gold));
+  }
+  std::vector<std::vector<double>> points(3, model.weights());
+  for (size_t p = 1; p < points.size(); ++p) {
+    for (double& w : points[p]) w += rng.Gaussian();
+  }
+  CrfModel serial_model = model;
+  LogLikelihood serial(serial_model, data, 3.0);
+  std::vector<double> want_f;
+  std::vector<std::vector<double>> want_g(points.size());
+  for (size_t p = 0; p < points.size(); ++p) {
+    want_f.push_back(serial.Evaluate(points[p], want_g[p]));
+  }
+  for (size_t workers : {1, 2, 3, 7}) {
+    util::ThreadPool pool(workers);
+    CrfModel copy = model;
+    LogLikelihood objective(copy, data, 3.0, &pool);
+    std::vector<double> grad;
+    for (int round = 0; round < 2; ++round) {
+      for (size_t p = 0; p < points.size(); ++p) {
+        SCOPED_TRACE(::testing::Message() << "workers=" << workers
+                                          << " point=" << p);
+        EXPECT_EQ(objective.Evaluate(points[p], grad), want_f[p]);
+        EXPECT_TRUE(grad == want_g[p]);
+      }
+    }
+  }
+}
 
 // --- PathLogProb -----------------------------------------------------------
 

@@ -2,10 +2,16 @@
 // little-endian codec.
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -211,13 +217,18 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, ParallelChunksPartitionExactly) {
+TEST(ThreadPoolTest, ForkJoinRunsEveryItemOnce) {
   ThreadPool pool(3);
-  std::atomic<size_t> total{0};
-  pool.ParallelChunks(10, [&](size_t begin, size_t end, size_t) {
-    total += end - begin;
-  });
-  EXPECT_EQ(total.load(), 10u);
+  for (size_t n : {1, 2, 3, 4, 7, 16, 1000}) {
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<size_t> bad_slot{0};
+    pool.ForkJoin(n, [&](size_t i, size_t slot) {
+      hits[i]++;
+      if (slot > pool.size()) bad_slot++;
+    });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "n=" << n;
+    EXPECT_EQ(bad_slot.load(), 0u);
+  }
 }
 
 TEST(ThreadPoolTest, PropagatesExceptions) {
@@ -229,21 +240,108 @@ TEST(ThreadPoolTest, PropagatesExceptions) {
                std::runtime_error);
 }
 
+TEST(ThreadPoolTest, ForkJoinPropagatesFirstExceptionAfterEveryItem) {
+  ThreadPool pool(3);
+  std::atomic<int> calls{0};
+  try {
+    pool.ForkJoin(100, [&](size_t i, size_t) {
+      calls++;
+      if (i % 10 == 3) throw std::runtime_error("item " + std::to_string(i));
+    });
+    FAIL() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("item ", 0), 0u) << e.what();
+  }
+  EXPECT_EQ(calls.load(), 100);
+  // The error does not leak into the next call.
+  calls = 0;
+  pool.ForkJoin(10, [&](size_t, size_t) { calls++; });
+  EXPECT_EQ(calls.load(), 10);
+}
+
 TEST(ThreadPoolTest, BackToBackCallsLeaveNoChunkBehind) {
-  // ParallelChunks keeps its completion state on the caller's stack, so
-  // no chunk may touch it once the call has returned; many short calls in
-  // a row give a chunk that does the chance to corrupt the next call's
-  // state (a crash or a lost wakeup) or to trip the sanitizers.
+  // Many short fork-joins in a row: an item of one call must not run
+  // during the next (a late worker claiming from a reset cursor), and a
+  // lost wake-up of the caller would hang; the sanitizers watch the
+  // handover of the pool's fork-join state between calls.
   ThreadPool pool(4);
   size_t total = 0;
   for (int round = 0; round < 20000; ++round) {
     std::atomic<size_t> sum{0};
-    pool.ParallelChunks(4, [&](size_t begin, size_t end, size_t) {
-      sum += end - begin;
-    });
+    pool.ForkJoin(4, [&](size_t i, size_t) { sum += i + 1; });
     total += sum.load();
   }
-  EXPECT_EQ(total, 80000u);
+  EXPECT_EQ(total, 200000u);
+}
+
+// Parks every worker of a pool in a posted task until Release(). The
+// parked tasks use this object until the pool has joined its workers, so
+// declare it before the pool.
+class BlockedWorkers {
+ public:
+  void Park(ThreadPool& pool) {
+    for (size_t i = 0; i < pool.size(); ++i) {
+      pool.Post([this] {
+        std::unique_lock<std::mutex> lock(mu_);
+        ++parked_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      });
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return parked_ == pool.size(); });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t parked_ = 0;
+  bool released_ = false;
+};
+
+TEST(ThreadPoolTest, ForkJoinCompletesWhileEveryWorkerIsBlocked) {
+  BlockedWorkers blocked;
+  ThreadPool pool(2);
+  blocked.Park(pool);
+  std::vector<int> hits(64, 0);
+  bool all_on_caller = true;
+  pool.ForkJoin(hits.size(), [&](size_t i, size_t slot) {
+    hits[i]++;
+    all_on_caller = all_on_caller && slot == 0;
+  });
+  EXPECT_TRUE(all_on_caller);
+  for (int h : hits) EXPECT_EQ(h, 1);
+  blocked.Release();
+}
+
+TEST(ThreadPoolTest, WorkerWakingAfterReturnTouchesNoFreedState) {
+  std::atomic<int> calls{0};
+  BlockedWorkers blocked;
+  {
+    ThreadPool pool(3);
+    blocked.Park(pool);
+    {
+      // The callable and what it points to die when the call returns; a
+      // worker that still ran an item would use them after free.
+      auto state = std::make_unique<std::vector<int>>(32, 0);
+      const std::function<void(size_t, size_t)> fn =
+          [&calls, s = state.get(), pad = std::string(64, 'x')](size_t i,
+                                                                size_t) {
+            (*s)[i] += static_cast<int>(pad.size());
+            calls++;
+          };
+      pool.ForkJoin(state->size(), fn);
+    }
+    // The workers wake now, find the fork-join over, and go back to
+    // waiting; the pool's destructor then joins them.
+    blocked.Release();
+  }
+  EXPECT_EQ(calls.load(), 32);
 }
 
 TEST(ThreadPoolTest, EmptyRangeIsNoop) {

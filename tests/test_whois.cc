@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/corpus_gen.h"
+#include "obs/metrics.h"
 #include "util/checkpoint.h"
 #include "util/little_endian.h"
 #include "whois/labels.h"
@@ -202,6 +203,48 @@ TEST_F(WhoisParserSmallCorpusTest, SaveLoadPreservesBehavior) {
     EXPECT_EQ(loaded.LabelLines(domain.thick.text),
               parser_->LabelLines(domain.thick.text));
   }
+}
+
+// 80 records of the synthetic corpus: enough for both levels' shards, and
+// a set on which a unit first line-search step overshoots into weights
+// whose scaled forward-backward leaves double's range.
+std::vector<LabeledRecord> TrainingRecords() {
+  datagen::CorpusOptions options;
+  options.size = 80;
+  options.seed = 7;
+  datagen::CorpusGenerator generator(options);
+  std::vector<LabeledRecord> train;
+  for (size_t i = 0; i < options.size; ++i) {
+    train.push_back(generator.Generate(i).thick);
+  }
+  return train;
+}
+
+// The gradient is summed over a fixed split of the sequences in a fixed
+// order, so the thread count sets only how fast a model trains.
+TEST(WhoisParserTrainerTest, ModelBytesDoNotDependOnThreadCount) {
+  const std::vector<LabeledRecord> train = TrainingRecords();
+  std::string reference;
+  for (size_t threads : {1, 2, 3, 4, 4}) {
+    WhoisParserOptions options;
+    options.trainer.threads = threads;
+    std::ostringstream os;
+    WhoisParser::Train(train, options).Save(os);
+    if (reference.empty()) {
+      reference = os.str();
+    } else {
+      EXPECT_TRUE(os.str() == reference) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(WhoisParserTrainerTest, FirstLineSearchStepTakesNoLogDomainFallback) {
+  const std::vector<LabeledRecord> train = TrainingRecords();
+  const obs::Counter* fallbacks = obs::Registry::Global().GetCounter(
+      "whoiscrf_crf_forward_backward_fallbacks_total");
+  const uint64_t before = fallbacks->Value();
+  WhoisParser::Train(train);
+  EXPECT_EQ(fallbacks->Value() - before, 0u);
 }
 
 // A `/proc/self/status` field in kB ("VmHWM"), -1 if absent.
